@@ -303,18 +303,20 @@ scenario-smoke:
 	echo "scenario-smoke: oracle differentials passed; 3-shard city run bit-identical to the single process"
 
 # Coverage floors for the packages that carry the serialization,
-# sharding, scheduling, and campaign contracts — roughly five points
-# under the measured totals (stats 89.4, parallel 96.8, cluster 88.8,
-# campaign 98.9 at the time of recording), so genuine coverage loss
-# fails while run-to-run scheduling variance does not. Raise a floor
-# when its package's coverage rises for good.
-COVER_FLOORS = stats:84 parallel:92 cluster:83 campaign:93
+# sharding, scheduling, campaign, experiment, serving and scenario
+# contracts — roughly five points under the measured totals (stats
+# 89.4, parallel 97.9, cluster 89.3, campaign 98.0, hintserve 88.0,
+# scenario 89.2, experiments 94.0 at the time of recording), so genuine
+# coverage loss fails while run-to-run scheduling variance does not.
+# Raise a floor when its package's coverage rises for good.
+COVER_FLOORS = stats:84 parallel:93 cluster:84 campaign:93 hintserve:83 scenario:84 experiments:89
 
 # Per-package coverage summary for the contract-bearing packages,
 # enforced against COVER_FLOORS.
 cover:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) test -cover ./internal/stats/ ./internal/parallel/ ./internal/cluster/ ./internal/campaign/ > "$$tmp/cover.txt" || { cat "$$tmp/cover.txt"; exit 1; }; \
+	$(GO) test -cover ./internal/stats/ ./internal/parallel/ ./internal/cluster/ ./internal/campaign/ \
+		./internal/hintserve/ ./internal/scenario/ ./internal/experiments/ > "$$tmp/cover.txt" || { cat "$$tmp/cover.txt"; exit 1; }; \
 	cat "$$tmp/cover.txt"; \
 	status=0; \
 	for spec in $(COVER_FLOORS); do \
@@ -330,9 +332,9 @@ cover:
 	exit $$status
 
 # Short fuzz pass over the stats codecs, the cluster wire layer
-# (framing, message decoding, the session handshake), and the hint
-# protocol parsers (each target runs alone, as `go test -fuzz`
-# requires). CI runs the same targets at a reduced FUZZTIME.
+# (framing, message decoding, the session handshake), the hint protocol
+# parsers, and the fate-trace codec (each target runs alone, as
+# `go test -fuzz` requires). CI runs the same targets at a reduced FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzAccumulatorCodec -fuzztime $(FUZZTIME) ./internal/stats/
@@ -345,7 +347,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParseTrailer -fuzztime $(FUZZTIME) ./internal/hintproto/
 	$(GO) test -fuzz FuzzParseHintFrame -fuzztime $(FUZZTIME) ./internal/hintproto/
 	$(GO) test -fuzz FuzzFateTraceCodec -fuzztime $(FUZZTIME) ./internal/trace/
-	$(GO) test -fuzz FuzzDecodePartial -fuzztime $(FUZZTIME) ./internal/experiments/
 
 # Hint-serving-plane smoke over real UDP: boot a hintnode AP, throw a
 # hintload herd at it, kill the herd mid-run (its ACKs now hit dead

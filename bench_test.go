@@ -181,14 +181,12 @@ func benchFleet(b *testing.B, id string, workers int) {
 			tr := cluster.NewInProcess(workers, func(wi int, c cluster.Conn) {
 				cluster.Serve(c, cluster.ServeOptions{Name: fmt.Sprintf("w%d", wi), Workers: 1})
 			})
-			rep, _, err := cluster.Run(tr, cluster.Options{
-				Experiment: id, Seed: 42, Scale: benchScale,
-				Shards: workers, ShardWorkers: 1, Retries: 3,
-			})
+			res, _, err := cluster.Run(tr, []cluster.Job{{Experiment: id, Seed: 42, Scale: benchScale, Shards: workers}},
+				cluster.Options{ShardWorkers: 1, Retries: 3})
 			if err != nil {
 				b.Fatalf("cluster run: %v", err)
 			}
-			got = rep.String()
+			got = res[0].Report.String()
 		}
 		if base == "" {
 			base = got

@@ -3,45 +3,46 @@
 // that are bit-identical to the single-process hintbench output — for
 // any shard count, worker count, transport, assignment order, or worker
 // failure. It is a thin front end over the work-stealing cluster
-// runtime in internal/cluster and the campaign scheduler in
+// runtime in internal/cluster; the job spec format lives in
 // internal/campaign.
 //
 // Modes (exactly one per invocation):
 //
-//	coordinator: split the trial space into K shards (a queue, not a
-//	static assignment), hand shards to workers as they free up, steal
-//	from stragglers, re-dispatch shards lost to dead workers, merge.
-//	The -transport flag picks where the workers live: "subprocess"
-//	(default; -procs worker processes of this binary on this machine),
-//	"inproc" (-procs goroutine workers in this process), or "tcp"
-//	(workers connect to -listen over the network).
+//	fleet run: split each job's trial space into K shards (a queue,
+//	not a static assignment), hand shards to workers as they free up,
+//	steal from stragglers, re-dispatch shards lost to dead workers,
+//	merge. "-run <id> -shards K" runs one experiment; it is shorthand
+//	for the one-job campaign "-campaign -shards K <id>". A campaign
+//	queues several jobs through one warm fleet: jobs are specs
+//	("id[:scale=S][:seed=N][:shards=K]", defaults from the flags) or
+//	"@file" job files (one spec per line, #-comments). Workers stay
+//	connected across assignments with their phy tables pre-built (the
+//	prepare step), shards of consecutive jobs interleave so stragglers
+//	overlap the next job's start, and each report prints in submission
+//	order the moment its last shard merges — byte-identical to the
+//	standalone hintbench output. -verify F re-executes a deterministic
+//	sample of shards (fraction F of each job, at least one) on a
+//	second worker and byte-compares the partials: any divergence is a
+//	hard fault. -report-dir also writes each report to jobN-<id>.out
+//	for scripted diffing. The -transport flag picks where the workers
+//	live: "subprocess" (default; -procs worker processes of this
+//	binary on this machine), "inproc" (-procs goroutine workers in
+//	this process), or "tcp" (workers connect to -listen over the
+//	network).
 //
 //	    hintshard -run fig3-5 -shards 8 [-procs 3] [-scale S] [-seed N]
 //	    hintshard -run fig3-5 -shards 8 -listen :7432 [-addr-file F]
-//
-//	campaign: queue several experiments through one warm fleet. Jobs
-//	are specs ("id[:scale=S][:seed=N][:shards=K]", defaults from the
-//	flags) or "@file" job files (one spec per line, #-comments);
-//	workers stay connected across assignments with their phy tables
-//	pre-built (the prepare step), shards of consecutive jobs
-//	interleave so stragglers overlap the next job's start, and each
-//	report prints in submission order the moment its last shard
-//	merges — byte-identical to the standalone hintbench output.
-//	-verify F re-executes a deterministic sample of shards (fraction
-//	F of each job, at least one) on a second worker and byte-compares
-//	the partials: any divergence is a hard fault. -report-dir also
-//	writes each report to jobN-<id>.out for scripted diffing.
-//
 //	    hintshard -campaign -shards 6 [-scale S] [-seed N] fig2-2 fig3-1:scale=0.5
 //	    hintshard -campaign -listen :7432 [-verify 0.2] @jobs.txt
 //
-//	Either coordinator flavor also serves a live HTTP control plane
-//	with -status-addr (resolved address published via
-//	-status-addr-file): GET /status is the full scheduler state as
-//	JSON, GET /metrics the same counters in Prometheus text form, and
-//	campaigns accept POST /jobs (a job spec) and POST /jobs/{n}/cancel
-//	to mutate the running schedule. "hintshard -status <addr>" is the
-//	matching one-shot client:
+//	A fleet run also serves a live HTTP control plane with
+//	-status-addr (resolved address published via -status-addr-file):
+//	GET /status is the full scheduler state as JSON, GET /metrics the
+//	same counters in Prometheus text form, and POST /jobs (a job spec)
+//	and POST /jobs/{n}/cancel mutate the running schedule.
+//
+//	status client: "hintshard -status <addr>" is the one-shot client
+//	of that control plane.
 //
 //	    hintshard -status 127.0.0.1:7500
 //	    hintshard -status 127.0.0.1:7500 -submit fig2-2:seed=7:shards=2
@@ -50,19 +51,6 @@
 //	TCP worker: connect to a coordinator and pull shards until stopped.
 //
 //	    hintshard -connect host:7432 [-workers W]
-//
-//	one-shot worker: run one fixed shard's slice of every trial range
-//	and write the partial (unmerged per-trial accumulators) as JSON to
-//	-o or stdout — the building block for file-based, multi-machine
-//	runs without a live coordinator.
-//
-//	    hintshard -run fig3-5 -shard 2/4 -o part2.json [-scale S] [-seed N]
-//
-//	merge: consume partial files produced by one-shot workers anywhere
-//	(any order; the shard set must be complete and agree on seed/scale)
-//	and print the merged report.
-//
-//	    hintshard -merge part0.json part1.json part2.json part3.json
 //
 //	stdio worker (internal): speak the cluster frame protocol on
 //	stdin/stdout; the subprocess transport spawns this.
@@ -96,7 +84,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/ctlplane"
 	"repro/internal/experiments"
-	"repro/internal/parallel"
 )
 
 func main() {
@@ -110,7 +97,6 @@ type options struct {
 	scale     float64
 	seed      int64
 	workers   int
-	shardSpec string
 	shards    int
 	procs     int
 	transport string
@@ -118,8 +104,6 @@ type options struct {
 	addrFile  string
 	connect   string
 	serveStd  bool
-	merge     bool
-	out       string
 	list      bool
 	retries   int
 	noSteal   bool
@@ -129,7 +113,6 @@ type options struct {
 	camp      bool
 	verify    float64
 	reportDir string
-	noWarm    bool
 	statAddr  string
 	statFile  string
 	statQuery string
@@ -155,11 +138,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hintshard", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	o := &options{stdout: stdout, stderr: stderr}
-	fs.StringVar(&o.run, "run", "", "experiment id (see 'hintshard -list')")
+	fs.StringVar(&o.run, "run", "", "coordinator: the one experiment `id` of a -shards run (see 'hintshard -list')")
 	fs.Float64Var(&o.scale, "scale", 1.0, "experiment scale (1.0 = paper scale, smaller = faster)")
 	fs.Int64Var(&o.seed, "seed", 42, "random seed for deterministic runs")
 	fs.IntVar(&o.workers, "workers", 0, "goroutines per worker for one shard's trials (0 = one per CPU, split across -procs for local transports)")
-	fs.StringVar(&o.shardSpec, "shard", "", "one-shot worker: run shard `k/K` and emit a partial result")
 	fs.IntVar(&o.shards, "shards", 0, "coordinator: split the trial space into `K` queued shards")
 	fs.IntVar(&o.procs, "procs", 0, "coordinator: number of local workers (subprocess/inproc transports; default K)")
 	fs.StringVar(&o.transport, "transport", "", "coordinator transport: subprocess, inproc, or tcp (default subprocess; tcp implied by -listen)")
@@ -167,8 +149,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.addrFile, "addr-file", "", "coordinator: write the resolved -listen address to `file` (for scripts using port 0)")
 	fs.StringVar(&o.connect, "connect", "", "worker: pull shards from the coordinator at `addr` until stopped")
 	fs.BoolVar(&o.serveStd, "serve-stdio", false, "worker: speak the cluster protocol on stdin/stdout (spawned by the subprocess transport)")
-	fs.BoolVar(&o.merge, "merge", false, "merge partial-result files given as arguments and print the report")
-	fs.StringVar(&o.out, "o", "", "one-shot worker: write the partial to `file` instead of stdout")
 	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
 	fs.IntVar(&o.retries, "retries", 3, "coordinator: per-shard failure budget before aborting")
 	fs.BoolVar(&o.noSteal, "no-steal", false, "coordinator: disable speculative re-dispatch of in-flight shards")
@@ -176,10 +156,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.dieAfter, "die-after-assign", 0, "worker fault injection: exit abruptly on receiving the `n`-th assignment")
 	fs.IntVar(&o.workerDie, "worker-die-after", 0, "coordinator fault injection (subprocess transport): pass -die-after-assign `n` to the first spawned worker")
 	fs.BoolVar(&o.camp, "campaign", false, "run a campaign: queue the job specs (or @file) given as arguments through one fleet")
-	fs.Float64Var(&o.verify, "verify", 0, "campaign: re-execute this `fraction` of each job's shards on a second worker and byte-compare (0 = off)")
-	fs.StringVar(&o.reportDir, "report-dir", "", "campaign: also write each report to `dir`/jobN-<id>.out for scripted diffing")
-	fs.BoolVar(&o.noWarm, "no-warm", false, "campaign: skip the warm-worker prepare step (workers build LUTs lazily)")
-	fs.StringVar(&o.statAddr, "status-addr", "", "coordinator/campaign: serve the HTTP control plane (/status, /metrics, POST /jobs) on `addr` (e.g. 127.0.0.1:0)")
+	fs.Float64Var(&o.verify, "verify", 0, "coordinator: re-execute this `fraction` of each job's shards on a second worker and byte-compare (0 = off)")
+	fs.StringVar(&o.reportDir, "report-dir", "", "coordinator: also write each report to `dir`/jobN-<id>.out for scripted diffing")
+	fs.StringVar(&o.statAddr, "status-addr", "", "coordinator: serve the HTTP control plane (/status, /metrics, POST /jobs) on `addr` (e.g. 127.0.0.1:0)")
 	fs.StringVar(&o.statFile, "status-addr-file", "", "write the resolved -status-addr address to `file` (for scripts using port 0)")
 	fs.StringVar(&o.statQuery, "status", "", "client: query the control plane at `addr` and print a status summary")
 	fs.StringVar(&o.submit, "submit", "", "with -status: submit one job `spec` to the running campaign and print its index")
@@ -219,18 +198,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch mode {
-	case "merge":
-		return o.mergeFiles(fs.Args())
-	case "one-shot":
-		return o.oneShot()
 	case "connect":
 		return o.tcpWorker()
 	case "serve-stdio":
 		return o.stdioWorker()
-	case "coordinator":
-		return o.coordinate()
-	case "campaign":
-		return o.runCampaign(fs.Args())
+	case "fleet":
+		return o.runFleet(fs.Args())
 	case "status":
 		return o.statusClient()
 	}
@@ -239,36 +212,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: hintshard -run <id> -shards K [-procs N | -listen addr]   (coordinator)")
-	fmt.Fprintln(w, "       hintshard -campaign [-shards K] <job-spec|@file>...        (campaign)")
+	fmt.Fprintln(w, "usage: hintshard -run <id> -shards K [-procs N | -listen addr]   (fleet run, one job)")
+	fmt.Fprintln(w, "       hintshard -campaign [-shards K] <job-spec|@file>...        (fleet run, campaign)")
 	fmt.Fprintln(w, "       hintshard -connect addr                                    (TCP worker)")
-	fmt.Fprintln(w, "       hintshard -run <id> -shard k/K [-o file]                   (one-shot worker)")
-	fmt.Fprintln(w, "       hintshard -merge part.json...                              (merge partials)")
 	fmt.Fprintln(w, "       hintshard -status addr [-submit spec | -cancel N | -metrics]  (control-plane client)")
 	fmt.Fprintln(w, "job specs are id[:scale=S][:seed=N][:shards=K]; run 'hintshard -list' for ids")
 }
 
 // mode validates flag combinations and names the selected mode.
 // Contradictory selectors are rejected rather than silently prioritized,
-// and coordinator-only tuning flags are rejected in the worker and merge
-// modes (explicit holds the flags actually set on the command line): a
-// run that quietly ignored half its flags would do something the
-// operator did not ask for.
+// and coordinator-only tuning flags are rejected in the worker and
+// client modes (explicit holds the flags actually set on the command
+// line): a run that quietly ignored half its flags would do something
+// the operator did not ask for.
 func (o *options) mode(explicit map[string]bool) (string, error) {
 	rejectCoordFlags := func(mode string) error {
-		for _, f := range []string{"transport", "procs", "addr-file", "retries", "no-steal", "worker-die-after", "heartbeat", "heartbeat-misses", "status-addr", "status-addr-file"} {
+		for _, f := range []string{"transport", "procs", "addr-file", "retries", "no-steal", "worker-die-after", "heartbeat", "heartbeat-misses", "status-addr", "status-addr-file", "verify", "report-dir"} {
 			if explicit[f] {
 				return fmt.Errorf("-%s is a coordinator flag; it does not apply to %s", f, mode)
-			}
-		}
-		return nil
-	}
-	// The session flags only mean something to processes speaking the
-	// cluster protocol; -merge and one-shot workers never open a conn.
-	rejectSessionFlags := func(mode string) error {
-		for _, f := range []string{"token", "chaos-seed", "chaos-plan", "reconnect"} {
-			if explicit[f] {
-				return fmt.Errorf("-%s is a cluster session flag; it does not apply to %s", f, mode)
 			}
 		}
 		return nil
@@ -288,13 +249,6 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 	} else if explicit["chaos-seed"] {
 		return "", fmt.Errorf("-chaos-seed needs a -chaos-plan to seed")
 	}
-	if !o.camp {
-		for _, f := range []string{"verify", "report-dir", "no-warm"} {
-			if explicit[f] {
-				return "", fmt.Errorf("-%s is a campaign flag; it needs -campaign", f)
-			}
-		}
-	}
 	if o.statQuery == "" {
 		for _, f := range []string{"submit", "cancel", "metrics"} {
 			if explicit[f] {
@@ -306,12 +260,6 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 		return "", fmt.Errorf("-status-addr-file publishes a -status-addr address; it needs -status-addr")
 	}
 	var modes []string
-	if o.merge {
-		modes = append(modes, "-merge")
-	}
-	if o.shardSpec != "" {
-		modes = append(modes, "-shard")
-	}
 	if o.shards > 0 && !o.camp {
 		// With -campaign, -shards is the default shard count per job,
 		// not a mode selector.
@@ -339,45 +287,17 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 		return "", fmt.Errorf("flags %v select contradictory modes; pick one", modes)
 	}
 	switch modes[0] {
-	case "-merge":
-		if o.run != "" || o.listen != "" || o.out != "" {
-			return "", fmt.Errorf("-merge takes only partial files (remove -run/-listen/-o)")
-		}
-		if err := rejectCoordFlags("-merge"); err != nil {
-			return "", err
-		}
-		if err := rejectSessionFlags("-merge"); err != nil {
-			return "", err
-		}
-		return "merge", nil
-	case "-shard":
-		if o.run == "" {
-			return "", fmt.Errorf("-shard needs -run <experiment-id>")
-		}
-		if o.listen != "" || o.transport != "" {
-			return "", fmt.Errorf("-shard is a one-shot worker; it takes no -listen/-transport")
-		}
-		if o.dieAfter > 0 {
-			return "", fmt.Errorf("-die-after-assign applies to protocol workers (-connect/-serve-stdio)")
-		}
-		if err := rejectCoordFlags("a one-shot worker"); err != nil {
-			return "", err
-		}
-		if err := rejectSessionFlags("a one-shot worker"); err != nil {
-			return "", err
-		}
-		return "one-shot", nil
 	case "-connect":
-		if o.run != "" || o.shards > 0 || o.listen != "" || o.out != "" {
-			return "", fmt.Errorf("-connect workers take their assignments from the coordinator (remove -run/-shards/-listen/-o)")
+		if o.run != "" || o.shards > 0 || o.listen != "" {
+			return "", fmt.Errorf("-connect workers take their assignments from the coordinator (remove -run/-shards/-listen)")
 		}
 		if err := rejectCoordFlags("a -connect worker"); err != nil {
 			return "", err
 		}
 		return "connect", nil
 	case "-serve-stdio":
-		if o.run != "" || o.listen != "" || o.out != "" {
-			return "", fmt.Errorf("-serve-stdio workers take their assignments from the coordinator (remove -run/-listen/-o)")
+		if o.run != "" || o.listen != "" {
+			return "", fmt.Errorf("-serve-stdio workers take their assignments from the coordinator (remove -run/-listen)")
 		}
 		if err := rejectCoordFlags("a -serve-stdio worker"); err != nil {
 			return "", err
@@ -391,8 +311,8 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 		}
 		return "serve-stdio", nil
 	case "-status":
-		if o.run != "" || o.listen != "" || o.out != "" {
-			return "", fmt.Errorf("-status is a read/mutate client for a running coordinator (remove -run/-listen/-o)")
+		if o.run != "" || o.listen != "" {
+			return "", fmt.Errorf("-status is a read/mutate client for a running coordinator (remove -run/-listen)")
 		}
 		if err := rejectCoordFlags("the -status client"); err != nil {
 			return "", err
@@ -418,12 +338,12 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 			return "", fmt.Errorf("-cancel %d is not a job index", o.cancel)
 		}
 		return "status", nil
-	case "-campaign":
-		if o.run != "" {
+	default: // -shards or -campaign: a fleet run
+		if o.camp && o.run != "" {
 			return "", fmt.Errorf("campaign jobs are given as job specs, not -run")
 		}
-		if o.out != "" {
-			return "", fmt.Errorf("-o is a one-shot worker flag; campaigns write reports with -report-dir")
+		if !o.camp && o.run == "" {
+			return "", fmt.Errorf("coordinator needs -run <experiment-id>")
 		}
 		if o.dieAfter > 0 {
 			return "", fmt.Errorf("-die-after-assign is a worker flag; coordinators inject faults with -worker-die-after")
@@ -436,24 +356,13 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 		if err := o.validateTransport(); err != nil {
 			return "", err
 		}
-		return "campaign", nil
-	default: // -shards
-		if o.run == "" {
-			return "", fmt.Errorf("coordinator needs -run <experiment-id>")
-		}
-		if o.dieAfter > 0 {
-			return "", fmt.Errorf("-die-after-assign is a worker flag; coordinators inject faults with -worker-die-after")
-		}
-		if err := o.validateTransport(); err != nil {
-			return "", err
-		}
-		return "coordinator", nil
+		return "fleet", nil
 	}
 }
 
-// validateTransport resolves and checks the transport selection shared
-// by the coordinator and campaign modes (-transport defaults to
-// subprocess, or tcp when -listen is given).
+// validateTransport resolves and checks the fleet run's transport
+// selection (-transport defaults to subprocess, or tcp when -listen is
+// given).
 func (o *options) validateTransport() error {
 	tr := o.transport
 	if tr == "" {
@@ -515,36 +424,6 @@ func (o *options) serveOpts(name string) cluster.ServeOptions {
 		}
 	}
 	return so
-}
-
-// oneShot runs one fixed shard and writes the partial result.
-func (o *options) oneShot() int {
-	shard, err := parallel.ParseShard(o.shardSpec)
-	if err != nil {
-		fmt.Fprintln(o.stderr, err)
-		return 2
-	}
-	cfg := experiments.Config{Scale: o.scale, Seed: o.seed, Workers: o.workers}
-	p, err := experiments.RunShard(o.run, cfg, shard)
-	if err != nil {
-		fmt.Fprintln(o.stderr, err)
-		return 1
-	}
-	w := o.stdout
-	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			fmt.Fprintln(o.stderr, err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := p.Encode(w); err != nil {
-		fmt.Fprintf(o.stderr, "writing partial: %v\n", err)
-		return 1
-	}
-	return 0
 }
 
 // tcpWorker pulls shards from a remote coordinator until stopped,
@@ -648,79 +527,27 @@ func (o *options) withChaos(t cluster.Transport) cluster.Transport {
 	return cluster.WithChaos(t, o.plan)
 }
 
-// coordinate runs the work-stealing coordinator over the selected
-// transport and prints the merged report.
-func (o *options) coordinate() int {
-	procs := o.procs
-	if procs <= 0 {
-		procs = o.shards
-	}
-	perWorker := o.perWorkerFanout(procs)
-	t, err := o.buildTransport(procs, perWorker)
-	if err != nil {
-		fmt.Fprintln(o.stderr, err)
-		return 1
-	}
-
-	// Single-run coordinators serve status and metrics read-only: there
-	// is no campaign to submit more jobs to, so the mutation hooks stay
-	// unset and POST answers 403.
-	var control *cluster.Control
-	if o.statAddr != "" {
-		control = cluster.NewControl()
-		ctl, err := ctlplane.Start(o.statAddr, ctlplane.Config{Service: "hintshard", Control: control, Token: o.token, Logf: o.logf()})
-		if err != nil {
-			fmt.Fprintln(o.stderr, err)
-			return 1
+// runFleet parses the job specs (-run's one spec, or the -campaign
+// arguments and @file job files), runs them over the selected
+// transport, and prints each report in submission order as it becomes
+// ready — exactly as hintbench would print the same experiment, so the
+// outputs diff byte for byte.
+func (o *options) runFleet(specs []string) int {
+	if !o.camp {
+		if len(specs) > 0 {
+			fmt.Fprintf(o.stderr, "-run takes one experiment, not %q; queue several with -campaign\n", specs)
+			usage(o.stderr)
+			return 2
 		}
-		defer ctl.Close()
-		fmt.Fprintf(o.stderr, "hintshard: control plane on %s\n", ctl.Addr())
-		if o.statFile != "" {
-			if err := atomicfile.WriteFile(o.statFile, []byte(ctl.Addr()), 0o644); err != nil {
-				fmt.Fprintln(o.stderr, err)
-				return 1
-			}
-		}
+		specs = []string{o.run}
 	}
-
-	rep, _, err := cluster.Run(o.withChaos(t), cluster.Options{
-		Control:           control,
-		Experiment:        o.run,
-		Seed:              o.seed,
-		Scale:             o.scale,
-		Shards:            o.shards,
-		ShardWorkers:      perWorker,
-		MergeWorkers:      o.workers,
-		Retries:           o.retries,
-		NoSteal:           o.noSteal,
-		Token:             o.token,
-		HeartbeatInterval: o.heartbeat,
-		HeartbeatMisses:   o.hbMisses,
-		Logf:              o.logf(),
-	})
-	if err != nil {
-		fmt.Fprintln(o.stderr, err)
-		var we *cluster.WorkerExitError
-		if errors.As(err, &we) {
-			return we.Code
-		}
-		return 1
-	}
-	return o.printReport(rep)
-}
-
-// runCampaign parses the job specs (or @file job files), runs the
-// campaign over the selected transport, and prints each report in
-// submission order as it becomes ready — exactly as hintbench would
-// print the same experiment, so the outputs diff byte for byte.
-func (o *options) runCampaign(specs []string) int {
 	if len(specs) == 0 {
 		fmt.Fprintln(o.stderr, "no campaign jobs given (want job specs or @file arguments)")
 		usage(o.stderr)
 		return 2
 	}
-	def := campaign.Job{Scale: o.scale, Seed: o.seed, Shards: o.shards}
-	var jobs []campaign.Job
+	def := cluster.Job{Scale: o.scale, Seed: o.seed, Shards: o.shards}
+	var jobs []cluster.Job
 	for _, spec := range specs {
 		if name, ok := strings.CutPrefix(spec, "@"); ok {
 			f, err := os.Open(name)
@@ -746,7 +573,7 @@ func (o *options) runCampaign(specs []string) int {
 	}
 
 	// Default local fleet size: enough workers to saturate the widest
-	// job, as the coordinator mode defaults to its shard count.
+	// job.
 	procs := o.procs
 	if procs <= 0 {
 		for _, j := range jobs {
@@ -770,7 +597,7 @@ func (o *options) runCampaign(specs []string) int {
 
 	// The control plane reads immutable snapshots and funnels mutations
 	// through the coordinator's event loop, so serving it — even under
-	// aggressive scraping — cannot perturb the campaign's determinism.
+	// aggressive scraping — cannot perturb the reports.
 	var control *cluster.Control
 	if o.statAddr != "" {
 		control = cluster.NewControl()
@@ -782,7 +609,7 @@ func (o *options) runCampaign(specs []string) int {
 				if err != nil {
 					return 0, err
 				}
-				return control.Submit(cluster.Job{Experiment: j.Experiment, Seed: j.Seed, Scale: j.Scale, Shards: j.Shards})
+				return control.Submit(j)
 			},
 			Cancel: control.Cancel,
 			Token:  o.token,
@@ -803,19 +630,18 @@ func (o *options) runCampaign(specs []string) int {
 	}
 
 	failed := 0
-	_, stats, err := campaign.Run(o.withChaos(t), jobs, campaign.Options{
+	_, stats, err := cluster.Run(o.withChaos(t), jobs, cluster.Options{
 		Control:           control,
 		ShardWorkers:      perWorker,
 		MergeWorkers:      o.workers,
 		Retries:           o.retries,
 		NoSteal:           o.noSteal,
-		NoWarm:            o.noWarm,
 		Verify:            o.verify,
 		Token:             o.token,
 		HeartbeatInterval: o.heartbeat,
 		HeartbeatMisses:   o.hbMisses,
 		Logf:              o.logf(),
-		Emit: func(ji int, j campaign.Job, rep *experiments.Report) error {
+		Emit: func(ji int, j cluster.Job, rep *experiments.Report) error {
 			if o.reportDir != "" {
 				// j, not jobs[ji]: the control plane can submit jobs past
 				// the initial list, and their reports land here too.
@@ -843,47 +669,6 @@ func (o *options) runCampaign(specs []string) int {
 	}
 	if failed > 0 {
 		fmt.Fprintf(o.stderr, "%d shape check(s) failed\n", failed)
-		return 1
-	}
-	return 0
-}
-
-// mergeFiles decodes one-shot worker partials, merges them, and prints
-// the report.
-func (o *options) mergeFiles(paths []string) int {
-	if len(paths) == 0 {
-		fmt.Fprintln(o.stderr, "no partial files to merge")
-		return 2
-	}
-	parts := make([]*experiments.Partial, 0, len(paths))
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(o.stderr, err)
-			return 1
-		}
-		p, err := experiments.DecodePartial(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(o.stderr, "%s: %v\n", path, err)
-			return 1
-		}
-		parts = append(parts, p)
-	}
-	rep, err := experiments.MergeShards(parts, o.workers)
-	if err != nil {
-		fmt.Fprintln(o.stderr, err)
-		return 1
-	}
-	return o.printReport(rep)
-}
-
-// printReport renders the report exactly as hintbench does (the smoke
-// tests diff the two) and folds shape-check failures into the exit code.
-func (o *options) printReport(rep *experiments.Report) int {
-	fmt.Fprintln(o.stdout, rep)
-	if failed := rep.Failed(); len(failed) > 0 {
-		fmt.Fprintf(o.stderr, "%d shape check(s) failed\n", len(failed))
 		return 1
 	}
 	return 0

@@ -9,13 +9,13 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/parallel"
 )
 
 // TestFlagValidation is the table-driven CLI contract: contradictory
 // mode selectors are rejected with a usage message and exit code 2,
 // never silently prioritized, and each mode insists on the flags it
-// needs.
+// needs. Rows naming -merge, -shard, -o or -no-warm pin that the
+// invocations of the deleted one-shot modes are now usage errors.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,34 +23,34 @@ func TestFlagValidation(t *testing.T) {
 		want string // stderr substring
 	}{
 		{"no mode", []string{}, "no mode selected"},
-		{"merge and shard", []string{"-merge", "-shard", "0/2", "-run", "fig2-2"}, "contradictory modes"},
-		{"merge and shards", []string{"-merge", "-shards", "3"}, "contradictory modes"},
+		{"merge and shard", []string{"-merge", "-shard", "0/2", "-run", "fig2-2"}, "flag provided but not defined: -merge"},
+		{"merge and shards", []string{"-merge", "-shards", "3"}, "flag provided but not defined: -merge"},
 		{"connect and shards", []string{"-connect", "h:1", "-shards", "2"}, "contradictory modes"},
 		{"connect and serve-stdio", []string{"-connect", "h:1", "-serve-stdio"}, "contradictory modes"},
-		{"shard and shards", []string{"-run", "x", "-shard", "0/2", "-shards", "2"}, "contradictory modes"},
+		{"shard and shards", []string{"-run", "x", "-shard", "0/2", "-shards", "2"}, "flag provided but not defined: -shard"},
 		{"listen without shards", []string{"-run", "fig2-2", "-listen", ":0"}, "-listen needs -shards"},
 		{"coordinator without run", []string{"-shards", "3"}, "coordinator needs -run"},
-		{"worker without run", []string{"-shard", "0/2"}, "-shard needs -run"},
-		{"merge with run", []string{"-merge", "-run", "fig2-2"}, "takes only partial files"},
+		{"worker without run", []string{"-shard", "0/2"}, "flag provided but not defined: -shard"},
+		{"merge with run", []string{"-merge", "-run", "fig2-2"}, "flag provided but not defined: -merge"},
 		{"connect with run", []string{"-connect", "h:1", "-run", "fig2-2"}, "assignments from the coordinator"},
-		{"serve-stdio with output", []string{"-serve-stdio", "-o", "f.json"}, "assignments from the coordinator"},
-		{"shard with listen", []string{"-run", "x", "-shard", "0/2", "-listen", ":0"}, "one-shot worker"},
+		{"serve-stdio with output", []string{"-serve-stdio", "-o", "f.json"}, "flag provided but not defined: -o"},
+		{"shard with listen", []string{"-run", "x", "-shard", "0/2", "-listen", ":0"}, "flag provided but not defined: -shard"},
 		{"unknown transport", []string{"-run", "x", "-shards", "2", "-transport", "smoke-signals"}, "unknown -transport"},
 		{"tcp transport without listen", []string{"-run", "x", "-shards", "2", "-transport", "tcp"}, "needs -listen"},
 		{"procs with tcp", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-procs", "3"}, "-procs applies to local transports"},
 		{"listen with subprocess transport", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-transport", "subprocess"}, "-listen implies -transport tcp"},
 		{"die-after-assign on coordinator", []string{"-run", "x", "-shards", "2", "-die-after-assign", "1"}, "-die-after-assign is a worker flag"},
-		{"die-after-assign on one-shot", []string{"-run", "x", "-shard", "0/2", "-die-after-assign", "1"}, "applies to protocol workers"},
+		{"die-after-assign on one-shot", []string{"-run", "x", "-shard", "0/2", "-die-after-assign", "1"}, "flag provided but not defined: -shard"},
 		{"worker-die-after without subprocess", []string{"-run", "x", "-shards", "2", "-transport", "inproc", "-worker-die-after", "1"}, "-worker-die-after needs -transport subprocess"},
 		{"addr-file without tcp", []string{"-run", "x", "-shards", "2", "-addr-file", "/tmp/a"}, "-addr-file publishes a -listen address"},
 		{"coordinator flag on connect worker", []string{"-connect", "h:1", "-addr-file", "/tmp/a"}, "coordinator flag"},
 		{"coordinator flag on stdio worker", []string{"-serve-stdio", "-retries", "5"}, "coordinator flag"},
-		{"coordinator flag on merge", []string{"-merge", "-no-steal"}, "coordinator flag"},
-		{"coordinator flag on one-shot", []string{"-run", "x", "-shard", "0/2", "-procs", "3"}, "coordinator flag"},
-		{"campaign and merge", []string{"-campaign", "-merge", "fig2-2"}, "contradictory modes"},
+		{"coordinator flag on merge", []string{"-merge", "-no-steal"}, "flag provided but not defined: -merge"},
+		{"coordinator flag on one-shot", []string{"-run", "x", "-shard", "0/2", "-procs", "3"}, "flag provided but not defined: -shard"},
+		{"campaign and merge", []string{"-campaign", "-merge", "fig2-2"}, "flag provided but not defined: -merge"},
 		{"campaign and connect", []string{"-campaign", "-connect", "h:1"}, "contradictory modes"},
 		{"campaign with run", []string{"-campaign", "-run", "fig2-2"}, "job specs, not -run"},
-		{"campaign with one-shot output", []string{"-campaign", "-o", "f.json", "fig2-2"}, "one-shot worker flag"},
+		{"campaign with one-shot output", []string{"-campaign", "-o", "f.json", "fig2-2"}, "flag provided but not defined: -o"},
 		{"campaign without jobs", []string{"-campaign", "-shards", "2"}, "no campaign jobs"},
 		{"campaign bad verify", []string{"-campaign", "-verify", "1.5", "fig2-2"}, "outside [0, 1]"},
 		{"campaign bad spec", []string{"-campaign", "-shards", "2", "fig2-2:flux=1"}, "unknown option"},
@@ -58,13 +58,17 @@ func TestFlagValidation(t *testing.T) {
 		{"campaign missing job file", []string{"-campaign", "-shards", "2", "@/definitely/not/a/file"}, "no such file"},
 		{"campaign with die-after-assign", []string{"-campaign", "-die-after-assign", "1", "fig2-2"}, "-die-after-assign is a worker flag"},
 		{"campaign listen with inproc", []string{"-campaign", "-transport", "inproc", "-listen", ":0", "fig2-2"}, "-listen implies -transport tcp"},
-		{"verify without campaign", []string{"-run", "x", "-shards", "2", "-verify", "0.5"}, "campaign flag"},
-		{"report-dir without campaign", []string{"-run", "x", "-shards", "2", "-report-dir", "/tmp/r"}, "campaign flag"},
-		{"no-warm without campaign", []string{"-connect", "h:1", "-no-warm"}, "campaign flag"},
+		{"run bad verify", []string{"-run", "fig2-2", "-shards", "2", "-verify", "NaN"}, "outside [0, 1]"},
+		{"run with job-spec arguments", []string{"-run", "fig2-2", "-shards", "2", "fig3-1"}, "queue several with -campaign"},
+		{"run unknown experiment", []string{"-run", "no-such", "-shards", "2"}, "unknown experiment"},
+		{"run non-finite scale", []string{"-run", "fig2-2", "-shards", "2", "-scale", "NaN"}, "invalid scale"},
+		{"verify without campaign", []string{"-connect", "h:1", "-verify", "0.5"}, "coordinator flag"},
+		{"report-dir without campaign", []string{"-serve-stdio", "-report-dir", "/tmp/r"}, "coordinator flag"},
+		{"no-warm without campaign", []string{"-connect", "h:1", "-no-warm"}, "flag provided but not defined: -no-warm"},
 		{"heartbeat on connect worker", []string{"-connect", "h:1", "-heartbeat", "1s"}, "coordinator flag"},
 		{"heartbeat-misses on stdio worker", []string{"-serve-stdio", "-heartbeat-misses", "5"}, "coordinator flag"},
-		{"token on merge", []string{"-merge", "-token", "s"}, "cluster session flag"},
-		{"chaos on one-shot", []string{"-run", "x", "-shard", "0/2", "-chaos-plan", "drop=0.1"}, "cluster session flag"},
+		{"token on merge", []string{"-merge", "-token", "s"}, "flag provided but not defined: -merge"},
+		{"chaos on one-shot", []string{"-run", "x", "-shard", "0/2", "-chaos-plan", "drop=0.1"}, "flag provided but not defined: -shard"},
 		{"chaos on stdio worker", []string{"-serve-stdio", "-chaos-plan", "drop=0.1"}, "inject chaos at the coordinator"},
 		{"chaos-seed without plan", []string{"-run", "x", "-shards", "2", "-chaos-seed", "7"}, "needs a -chaos-plan"},
 		{"bad chaos plan", []string{"-run", "x", "-shards", "2", "-chaos-plan", "drop=2"}, "probability in [0,1]"},
@@ -97,24 +101,11 @@ func TestListMode(t *testing.T) {
 	}
 }
 
-func TestOneShotWorkerErrors(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-run", "fig2-2", "-shard", "nope"}, &stdout, &stderr); code != 2 {
-		t.Errorf("malformed shard spec: exit %d, want 2", code)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-run", "no-such", "-shard", "0/2"}, &stdout, &stderr); code != 1 {
-		t.Errorf("unknown experiment: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "unknown experiment") {
-		t.Errorf("stderr: %s", stderr.String())
-	}
-}
-
 // TestInprocCoordinatorMatchesDirectRun drives the full coordinator
 // pipeline through the CLI entry point (inproc transport) and compares
 // against the equivalent of hintbench's output for the same experiment.
+// A -run is a one-job campaign, so verification and -report-dir apply
+// to it too.
 func TestInprocCoordinatorMatchesDirectRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an experiment")
@@ -124,13 +115,18 @@ func TestInprocCoordinatorMatchesDirectRun(t *testing.T) {
 		t.Fatal("fig2-2 not registered")
 	}
 	want := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String() + "\n"
+	repDir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-run", "fig2-2", "-shards", "5", "-transport", "inproc", "-procs", "2", "-scale", "0.1", "-seed", "42"}, &stdout, &stderr)
+	code := run([]string{"-run", "fig2-2", "-shards", "5", "-transport", "inproc", "-procs", "2", "-scale", "0.1", "-seed", "42",
+		"-verify", "1", "-report-dir", repDir}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
 	if stdout.String() != want {
 		t.Errorf("coordinator output differs from direct run:\n--- direct ---\n%s\n--- cli ---\n%s", want, stdout.String())
+	}
+	if got, err := os.ReadFile(filepath.Join(repDir, "job1-fig2-2.out")); err != nil || string(got) != want {
+		t.Errorf("report file differs from the direct run (err %v)", err)
 	}
 }
 
@@ -184,40 +180,4 @@ func TestInprocCampaignMatchesDirectRuns(t *testing.T) {
 		t.Errorf("campaign stdout differs from the concatenated direct runs:\n--- direct ---\n%s\n--- campaign ---\n%s",
 			want.String(), stdout.String())
 	}
-}
-
-// TestOneShotAndMergePipeline exercises the file-based worker/merge path
-// end to end through the CLI.
-func TestOneShotAndMergePipeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs an experiment")
-	}
-	dir := t.TempDir()
-	var files []string
-	for _, sh := range parallel.NewShardPlan(3).Shards() {
-		f := filepath.Join(dir, sh.String()[:1]+".json")
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-run", "fig2-2", "-shard", sh.String(), "-scale", "0.1", "-seed", "42", "-o", f}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("worker %v: exit %d, stderr %s", sh, code, stderr.String())
-		}
-		files = append(files, f)
-	}
-	exp, _ := experiments.ByID("fig2-2")
-	want := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String() + "\n"
-	var stdout, stderr bytes.Buffer
-	code := run(append([]string{"-merge"}, files...), &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("merge: exit %d, stderr %s", code, stderr.String())
-	}
-	if stdout.String() != want {
-		t.Errorf("merged report differs from direct run")
-	}
-	// A missing file fails cleanly.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-merge", filepath.Join(dir, "missing.json")}, &stdout, &stderr); code != 1 {
-		t.Errorf("merge of missing file: exit %d, want 1", code)
-	}
-	_ = os.Remove(files[0])
 }

@@ -1,228 +1,24 @@
-// Package campaign is the experiment-level scheduler: it queues a whole
-// evaluation campaign — an ordered list of (experiment, scale, seed,
-// shards) jobs — through one warm cluster fleet, instead of paying
-// worker startup and LUT construction once per experiment. Jobs run
-// through cluster.RunCampaign's multi-queue (one parallel.ShardQueue
-// per job), so the stragglers of one experiment overlap the start of
-// the next, workers stay connected across assignments with their phy
-// tables cached (the warm-worker prepare step), and every report is
-// emitted in submission order the moment its last shard merges — each
-// byte-identical to the standalone single-process run of the same
-// (experiment, scale, seed).
-//
-// The package adds two policies on top of the cluster runtime: the job
-// spec format (ParseJob/ReadJobs — what cmd/hintshard -campaign
-// accepts) and the deterministic verification sample (VerifySample —
-// which shards get re-executed on a second worker and byte-compared
-// when verification is on).
+// Package campaign is the job spec format of cmd/hintshard: a run of
+// one or more (experiment, scale, seed, shards) jobs through one fleet
+// is written as spec strings or job files (ParseJob, ReadJobs), and
+// the same format arrives over the control plane's POST /jobs. The
+// jobs themselves run through cluster.Run, which queues them in one
+// multi-queue, warms every worker's phy tables once, and emits each
+// report in submission order — each byte-identical to the standalone
+// single-process run of its job.
 package campaign
 
-import (
-	"errors"
-	"fmt"
-	"time"
+import "repro/internal/cluster"
 
-	"repro/internal/cluster"
-	"repro/internal/experiments"
-	"repro/internal/parallel"
+// Job, Options and Result are the cluster's own types under the names
+// the benchmark harness imports.
+type (
+	Job     = cluster.Job
+	Options = cluster.Options
+	Result  = cluster.Result
 )
 
-// Job is one campaign entry: reproduce Experiment at Scale with Seed,
-// split into Shards queued shards.
-type Job struct {
-	Experiment string
-	Scale      float64
-	Seed       int64
-	Shards     int
-}
-
-// String renders the job in the spec form ParseJob accepts.
-func (j Job) String() string {
-	return fmt.Sprintf("%s:scale=%g:seed=%d:shards=%d", j.Experiment, j.Scale, j.Seed, j.Shards)
-}
-
-// Options configures one campaign run.
-type Options struct {
-	// ShardWorkers bounds the goroutines each assignment fans across
-	// inside its worker (0 = the worker decides); MergeWorkers bounds
-	// each merged finish phase's in-process parallelism (0 = one per
-	// CPU).
-	ShardWorkers int
-	MergeWorkers int
-	// Retries is the failure budget per shard before the campaign
-	// aborts; NoSteal disables speculative re-dispatch of in-flight
-	// shards.
-	Retries int
-	NoSteal bool
-	// NoWarm skips the warm-worker prepare step (sent by default: one
-	// tiny message per worker that pre-builds the phy tables every
-	// assignment of the campaign will read). WarmFrames overrides the
-	// frame lengths it names; nil derives the list from the campaign's
-	// own experiments (experiments.FrameSizes over the job list), so
-	// workers warm exactly the tables the jobs will read.
-	NoWarm     bool
-	WarmFrames []int
-	// Verify is the verification sampling fraction: 0 (the default)
-	// trusts worker results like a plain cluster run; any positive
-	// fraction re-executes a deterministic sample of at least one shard
-	// per job — VerifySample — on a second worker and byte-compares the
-	// partials. A divergence aborts the campaign with a hard fault
-	// (*cluster.VerifyError): under the determinism contract it can
-	// only mean a corrupt worker or corrupt hardware.
-	Verify float64
-	// DrainTimeout bounds the post-completion drain of speculative
-	// stragglers (0 = one minute).
-	DrainTimeout time.Duration
-	// Token is the shared secret workers must prove in the hello
-	// handshake; HeartbeatInterval/HeartbeatMisses set the liveness
-	// cadence and budget (zero = cluster defaults, negative interval
-	// disables). All three pass through to cluster.CampaignOptions
-	// unchanged.
-	Token             string
-	HeartbeatInterval time.Duration
-	HeartbeatMisses   int
-	// Logf, if set, receives progress lines.
-	Logf func(format string, args ...any)
-	// Emit, if set, receives each report in submission order the moment
-	// it is ready — while later jobs are still executing. The Job is
-	// passed alongside the index because a control plane (Control) can
-	// submit jobs beyond the initial list; for those, Emit is the only
-	// delivery (Run's Results cover the initial jobs only). Returning an
-	// error aborts the campaign.
-	Emit func(job int, j Job, rep *experiments.Report) error
-	// Control, if set, attaches a cluster control plane to the run: live
-	// status snapshots plus job submission/cancellation against the
-	// running fleet (see cluster.Control and internal/ctlplane).
-	// Dynamically submitted jobs verify under the same Verify fraction
-	// as initial jobs, with the same deterministic VerifySample.
-	Control *cluster.Control
-}
-
-// Result pairs one job with its merged report.
-type Result struct {
-	Job    Job
-	Report *experiments.Report
-}
-
-// Run executes the campaign over the transport's workers and returns
-// one result per job, in submission order. Every report is
-// byte-identical to the standalone single-process run of its job; see
-// cluster.RunCampaign for the scheduling and failure story.
+// Run is cluster.Run.
 func Run(t cluster.Transport, jobs []Job, o Options) ([]Result, cluster.RunStats, error) {
-	var stats cluster.RunStats
-	if len(jobs) == 0 {
-		return nil, stats, errors.New("campaign: no jobs")
-	}
-	// Negated form so NaN (for which every comparison is false) is
-	// rejected too.
-	if !(o.Verify >= 0 && o.Verify <= 1) {
-		return nil, stats, fmt.Errorf("campaign: verification fraction %g outside [0, 1]", o.Verify)
-	}
-	cjobs := make([]cluster.Job, len(jobs))
-	for ji, j := range jobs {
-		if _, ok := experiments.Default.ByID(j.Experiment); !ok {
-			return nil, stats, fmt.Errorf("campaign: job %d names unknown experiment %q", ji, j.Experiment)
-		}
-		if j.Shards < 1 {
-			return nil, stats, fmt.Errorf("campaign: job %d (%s) has no shard count", ji, j.Experiment)
-		}
-		cjobs[ji] = cluster.Job{
-			Experiment: j.Experiment,
-			Seed:       j.Seed,
-			Scale:      j.Scale,
-			Shards:     j.Shards,
-		}
-	}
-	results := make([]Result, len(jobs))
-	for ji, j := range jobs {
-		results[ji].Job = j
-	}
-	warmFrames := o.WarmFrames
-	if warmFrames == nil && !o.NoWarm {
-		// Derive the prepare list from what the campaign will actually
-		// run. Jobs submitted later through the control plane warm their
-		// tables lazily on first use, like any uncovered size.
-		ids := make([]string, len(jobs))
-		for ji, j := range jobs {
-			ids[ji] = j.Experiment
-		}
-		warmFrames = experiments.Default.FrameSizes(ids...)
-	}
-	co := cluster.CampaignOptions{
-		ShardWorkers:      o.ShardWorkers,
-		MergeWorkers:      o.MergeWorkers,
-		Retries:           o.Retries,
-		NoSteal:           o.NoSteal,
-		DrainTimeout:      o.DrainTimeout,
-		Token:             o.Token,
-		HeartbeatInterval: o.HeartbeatInterval,
-		HeartbeatMisses:   o.HeartbeatMisses,
-		Logf:              o.Logf,
-		Warm:              !o.NoWarm,
-		WarmFrames:        warmFrames,
-		Control:           o.Control,
-		OnReport: func(ji int, cj cluster.Job, rep *experiments.Report) error {
-			// Jobs submitted through the control plane land beyond the
-			// initial list: Emit is their only delivery.
-			if ji < len(results) {
-				results[ji].Report = rep
-			}
-			if o.Emit != nil {
-				return o.Emit(ji, fromCluster(cj), rep)
-			}
-			return nil
-		},
-	}
-	if o.Verify > 0 {
-		co.VerifyShards = func(ji int, cj cluster.Job) []int {
-			return VerifySample(fromCluster(cj), ji, o.Verify)
-		}
-	}
-	stats, err := cluster.RunCampaign(t, cjobs, co)
-	if err != nil {
-		return nil, stats, err
-	}
-	return results, stats, nil
-}
-
-// fromCluster mirrors a cluster job back into the campaign's Job form —
-// the two carry identical fields, so the deterministic verification
-// sample of a dynamically submitted job matches what an initial job
-// with the same spec would get.
-func fromCluster(cj cluster.Job) Job {
-	return Job{Experiment: cj.Experiment, Scale: cj.Scale, Seed: cj.Seed, Shards: cj.Shards}
-}
-
-// VerifySample picks the shard indices of one job that verification
-// re-executes: a pure function of (job, index, fraction), so the
-// coordinator, logs, and tests always agree on the sample and reruns of
-// the same campaign verify the same shards. Each shard is included
-// with probability fraction (drawn from the job's own seed stream,
-// decorrelated from every trial seed by the derivation label); a
-// positive fraction always verifies at least one shard, so opting in
-// can never silently verify nothing.
-func VerifySample(job Job, index int, fraction float64) []int {
-	if fraction <= 0 || job.Shards < 1 {
-		return nil
-	}
-	if fraction >= 1 {
-		out := make([]int, job.Shards)
-		for k := range out {
-			out[k] = k
-		}
-		return out
-	}
-	stream := parallel.NewSeedStream(job.Seed).Derive(fmt.Sprintf("campaign-verify/%d/%s", index, job.Experiment))
-	var out []int
-	for k := 0; k < job.Shards; k++ {
-		// Top 53 bits of the derived seed as a uniform draw in [0, 1).
-		u := float64(uint64(stream.Seed(k))>>11) / (1 << 53)
-		if u < fraction {
-			out = append(out, k)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, int(uint64(stream.Seed(job.Shards))%uint64(job.Shards)))
-	}
-	return out
+	return cluster.Run(t, jobs, o)
 }

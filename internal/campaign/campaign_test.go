@@ -3,6 +3,8 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/exec"
 	"reflect"
@@ -65,31 +67,44 @@ func TestStdioWorkerHelper(t *testing.T) {
 	os.Exit(0)
 }
 
-// killSecond makes worker 0 die on its second assignment — mid-campaign,
-// after contributing real work to the first job.
+// startTransport builds one of the three transports with the given
+// worker count. With killSecond, worker 0 dies on its second assignment
+// — mid-campaign, after contributing real work to the first job — and
+// no other worker sends its hello before that assignment is out:
+// otherwise the other workers can drain the whole campaign before the
+// killer's second assignment, and the kill never happens. In-process
+// and TCP workers wait for the killer's OnAssign; subprocess workers
+// are held back at the transport's Accept.
 func startTransport(t *testing.T, kind string, workers int, killSecond bool) cluster.Transport {
 	t.Helper()
-	serveOpts := func(i int) cluster.ServeOptions {
+	killed := make(chan struct{})
+	if !killSecond {
+		close(killed)
+	}
+	serve := func(i int, c cluster.Conn) {
 		so := cluster.ServeOptions{Name: fmt.Sprintf("w%d", i), Workers: 1}
 		if killSecond && i == 0 {
 			seen := 0
 			so.OnAssign = func(cluster.Assign) error {
-				seen++
-				if seen >= 2 {
+				if seen++; seen == 2 {
+					close(killed)
 					return errors.New("injected mid-campaign death")
 				}
 				return nil
 			}
 		}
-		return so
+		cluster.Serve(c, so)
 	}
 	switch kind {
 	case "inproc":
 		return cluster.NewInProcess(workers, func(i int, c cluster.Conn) {
-			cluster.Serve(c, serveOpts(i))
+			if i > 0 {
+				<-killed
+			}
+			serve(i, c)
 		})
 	case "subprocess":
-		return cluster.NewSubprocess(workers, func(i int) *exec.Cmd {
+		tr := cluster.NewSubprocess(workers, func(i int) *exec.Cmd {
 			cmd := exec.Command(os.Args[0], "-test.run=TestStdioWorkerHelper$")
 			cmd.Env = append(os.Environ(), "CAMPAIGN_STDIO_WORKER=1")
 			if killSecond && i == 0 {
@@ -97,6 +112,10 @@ func startTransport(t *testing.T, kind string, workers int, killSecond bool) clu
 			}
 			return cmd
 		})
+		if killSecond {
+			return newAssignGate(tr, 2)
+		}
+		return tr
 	case "tcp":
 		lt, err := cluster.ListenTCP("127.0.0.1:0")
 		if err != nil {
@@ -104,17 +123,74 @@ func startTransport(t *testing.T, kind string, workers int, killSecond bool) clu
 		}
 		for i := 0; i < workers; i++ {
 			go func(i int) {
+				if i > 0 {
+					<-killed
+				}
 				c, err := cluster.DialTCP(lt.Addr())
 				if err != nil {
 					return
 				}
-				cluster.Serve(c, serveOpts(i))
+				serve(i, c)
 			}(i)
 		}
 		return lt
 	}
 	t.Fatalf("unknown transport %q", kind)
 	return nil
+}
+
+// assignGate holds every Accept after the first until the coordinator
+// has sent the first accepted worker n assignments. Close releases a
+// held Accept, so an aborted run still winds down.
+type assignGate struct {
+	cluster.Transport
+	n         int
+	open      chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
+	accepts   int // Accept runs on the coordinator's accept loop only
+}
+
+func newAssignGate(t cluster.Transport, n int) *assignGate {
+	return &assignGate{Transport: t, n: n, open: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (g *assignGate) Accept() (cluster.Conn, error) {
+	g.accepts++
+	if g.accepts > 1 {
+		select {
+		case <-g.open:
+		case <-g.closed:
+			return nil, io.EOF
+		}
+	}
+	c, err := g.Transport.Accept()
+	if err != nil || g.accepts > 1 {
+		return c, err
+	}
+	return &countAssigns{Conn: c, n: g.n, open: g.open}, nil
+}
+
+func (g *assignGate) Close() error {
+	g.closeOnce.Do(func() { close(g.closed) })
+	return g.Transport.Close()
+}
+
+// countAssigns closes open once n assignments have gone out on the
+// conn. Only the conn's sender goroutine calls Send.
+type countAssigns struct {
+	cluster.Conn
+	n, sent int
+	open    chan struct{}
+}
+
+func (c *countAssigns) Send(m cluster.Message) error {
+	if _, ok := m.(*cluster.Assign); ok {
+		if c.sent++; c.sent == c.n {
+			close(c.open)
+		}
+	}
+	return c.Conn.Send(m)
 }
 
 // TestCampaignReportsIdenticalAcrossTransportsAndWorkers is the
@@ -218,9 +294,9 @@ func TestCampaignWithWorkerKilledMidCampaign(t *testing.T) {
 	}
 }
 
-// TestCampaignSubTrialJobsSurviveWorkerDeath: a campaign of the heavy
-// sub-trial experiments (one trace-grid runner, one windowed tracker)
-// with a worker dying on its second assignment — mid-sub-trial from the
+// TestCampaignSubTrialJobsSurviveWorkerDeath: a campaign of two heavy
+// experiments (one trace-grid runner, one per-curve tracker loop) with
+// a worker dying on its second assignment — mid-sub-trial from the
 // campaign's point of view. The requeued chunk must regenerate its
 // traces and replay to byte-identical reports.
 func TestCampaignSubTrialJobsSurviveWorkerDeath(t *testing.T) {
@@ -367,13 +443,14 @@ func TestVerificationDetectsCorruptPartial(t *testing.T) {
 	}
 }
 
-// TestVerifySampleDeterministicAndNonEmpty pins the sampling policy:
-// pure function of (job, index, fraction), at least one shard whenever
-// the fraction is positive, everything at 1, nothing at 0.
+// TestVerifySampleDeterministicAndNonEmpty pins the sampling policy
+// behind Options.Verify (cluster.VerifySample): pure function of (job,
+// index, fraction), at least one shard whenever the fraction is
+// positive, everything at 1, nothing at 0.
 func TestVerifySampleDeterministicAndNonEmpty(t *testing.T) {
 	j := Job{Experiment: "fig3-1", Scale: 0.2, Seed: 42, Shards: 12}
-	a := VerifySample(j, 1, 0.25)
-	b := VerifySample(j, 1, 0.25)
+	a := cluster.VerifySample(j, 1, 0.25)
+	b := cluster.VerifySample(j, 1, 0.25)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("sample not deterministic: %v vs %v", a, b)
 	}
@@ -385,22 +462,22 @@ func TestVerifySampleDeterministicAndNonEmpty(t *testing.T) {
 			t.Errorf("sample %v contains out-of-range shard %d", a, k)
 		}
 	}
-	if got := VerifySample(j, 1, 1); len(got) != j.Shards {
+	if got := cluster.VerifySample(j, 1, 1); len(got) != j.Shards {
 		t.Errorf("fraction 1 sampled %d of %d shards", len(got), j.Shards)
 	}
-	if got := VerifySample(j, 1, 0); got != nil {
+	if got := cluster.VerifySample(j, 1, 0); got != nil {
 		t.Errorf("fraction 0 sampled %v", got)
 	}
-	if got := VerifySample(Job{Experiment: "x", Seed: 1, Shards: 3}, 0, 0.01); len(got) != 1 {
+	if got := cluster.VerifySample(Job{Experiment: "x", Seed: 1, Shards: 3}, 0, 0.01); len(got) != 1 {
 		t.Errorf("tiny fraction over 3 shards sampled %v, want exactly one forced pick", got)
 	}
 	// Different jobs draw different samples (decorrelation smoke check).
-	other := VerifySample(Job{Experiment: "fig3-1", Scale: 0.2, Seed: 43, Shards: 12}, 1, 0.25)
+	other := cluster.VerifySample(Job{Experiment: "fig3-1", Scale: 0.2, Seed: 43, Shards: 12}, 1, 0.25)
 	if fmt.Sprint(a) == fmt.Sprint(other) && len(a) == len(other) {
 		// Identical small samples can collide; only flag the pathological
 		// full match of every index at a larger fraction.
-		big := VerifySample(j, 2, 0.5)
-		bigOther := VerifySample(Job{Experiment: "fig3-1", Scale: 0.2, Seed: 43, Shards: 12}, 2, 0.5)
+		big := cluster.VerifySample(j, 2, 0.5)
+		bigOther := cluster.VerifySample(Job{Experiment: "fig3-1", Scale: 0.2, Seed: 43, Shards: 12}, 2, 0.5)
 		if fmt.Sprint(big) == fmt.Sprint(bigOther) {
 			t.Logf("note: seed-42 and seed-43 samples coincide (%v); not failing, but suspicious", big)
 		}
@@ -451,6 +528,10 @@ func TestParseJob(t *testing.T) {
 		{"no-such-exp", "unknown experiment"},
 		{"fig3-1:scale", "malformed option"},
 		{"fig3-1:scale=0", "invalid scale"},
+		{"fig2-2:scale=NaN", "invalid scale"},
+		{"fig2-2:scale=Inf", "invalid scale"},
+		{"fig2-2:scale=-Inf", "invalid scale"},
+		{"fig2-2:scale=1e400", "invalid scale"},
 		{"fig3-1:seed=x", "invalid seed"},
 		{"fig3-1:shards=0", "invalid shard count"},
 		{"fig3-1:flux=9", "unknown option"},
@@ -463,6 +544,16 @@ func TestParseJob(t *testing.T) {
 	}
 	if _, err := ParseJob("fig3-1", Job{Scale: 1, Seed: 42}); err == nil || !strings.Contains(err.Error(), "no shard count") {
 		t.Errorf("spec without any shard count accepted: %v", err)
+	}
+	// A non-finite -scale default is refused like a bad scale= option;
+	// an explicit option overrides it.
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := ParseJob("fig3-1", Job{Scale: scale, Seed: 42, Shards: 4}); err == nil || !strings.Contains(err.Error(), "invalid scale") {
+			t.Errorf("default scale %g accepted: %v", scale, err)
+		}
+		if _, err := ParseJob("fig3-1:scale=0.5", Job{Scale: scale, Seed: 42, Shards: 4}); err != nil {
+			t.Errorf("scale=0.5 over default %g: %v", scale, err)
+		}
 	}
 }
 
@@ -495,18 +586,6 @@ fig2-2:seed=7:shards=2
 	}
 	if _, err := ReadJobs(strings.NewReader("fig2-2\nnot-an-experiment\n"), def); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("bad line not located: %v", err)
-	}
-}
-
-// TestJobStringRoundTrips keeps the rendered form parseable.
-func TestJobStringRoundTrips(t *testing.T) {
-	j := Job{Experiment: "fig3-1", Scale: 0.25, Seed: -9, Shards: 6}
-	got, err := ParseJob(j.String(), Job{})
-	if err != nil {
-		t.Fatalf("ParseJob(%q): %v", j.String(), err)
-	}
-	if got != j {
-		t.Errorf("round trip %q = %+v, want %+v", j.String(), got, j)
 	}
 }
 
@@ -545,10 +624,9 @@ func recordPrepareServe(c cluster.Conn, name string, record func([]int)) {
 	}
 }
 
-// TestCampaignDerivesWarmFrames: with no WarmFrames override, the
-// prepare list every worker receives is derived from the campaign's own
-// experiments (experiments.FrameSizes over the job list), not a fixed
-// guess.
+// TestCampaignDerivesWarmFrames: the prepare list every worker
+// receives is derived from the campaign's own experiments
+// (experiments.FrameSizes over the job list), not a fixed guess.
 func TestCampaignDerivesWarmFrames(t *testing.T) {
 	jobs := []Job{{Experiment: "fig2-2", Scale: 0.1, Seed: 1, Shards: 2}}
 	var mu sync.Mutex

@@ -4,15 +4,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-// This file is the job spec format of cmd/hintshard -campaign: a
-// campaign is written as one spec per job, either as command-line
-// arguments or as lines of a job file.
+// A campaign is written as one spec per job, either as command-line
+// arguments or as lines of a job file; hintshard's -run takes a single
+// spec.
 //
 //	fig3-1
 //	fig3-5:scale=0.2
@@ -45,7 +46,9 @@ func ParseJob(spec string, def Job) (Job, error) {
 		switch key {
 		case "scale":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
+			// Negated form so NaN (for which every comparison is false)
+			// is rejected too.
+			if err != nil || !(f > 0 && f <= math.MaxFloat64) {
 				return Job{}, fmt.Errorf("campaign: job spec %q: invalid scale %q", spec, val)
 			}
 			j.Scale = f
@@ -64,6 +67,12 @@ func ParseJob(spec string, def Job) (Job, error) {
 		default:
 			return Job{}, fmt.Errorf("campaign: job spec %q: unknown option %q (want scale, seed, or shards)", spec, key)
 		}
+	}
+	// The default scale arrives unchecked. A non-finite one would run
+	// every experiment at its minimum sizes (scaleInt clamps the
+	// garbage product), so it is refused here like a bad scale= option.
+	if !(math.Abs(j.Scale) <= math.MaxFloat64) {
+		return Job{}, fmt.Errorf("campaign: job spec %q: invalid scale %g", spec, j.Scale)
 	}
 	if j.Shards < 1 {
 		return Job{}, fmt.Errorf("campaign: job spec %q has no shard count (set shards=K or a -shards default)", spec)

@@ -83,11 +83,8 @@ func TestChaosReportsByteIdentical(t *testing.T) {
 				t.Fatalf("listen: %v", err)
 			}
 			join := chaosServeTCP(lt.Addr(), workers)
-			rep, stats, err := Run(WithChaos(lt, chaosCoordPlan(7, 2, 3)), Options{
-				Experiment:        exp.ID,
-				Seed:              42,
-				Scale:             0.1,
-				Shards:            shards,
+			job := Job{Experiment: exp.ID, Seed: 42, Scale: 0.1, Shards: shards}
+			rep, stats, err := runOne(WithChaos(lt, chaosCoordPlan(7, 2, 3)), job, Options{
 				ShardWorkers:      1,
 				Retries:           30,
 				HeartbeatInterval: 100 * time.Millisecond,
@@ -115,11 +112,7 @@ func TestChaosReportsByteIdentical(t *testing.T) {
 				Conns:    1,
 				MaxKills: 2,
 			}
-			rep, stats, err = Run(WithChaos(NewSubprocess(workers, helperCommand(false)), sp), Options{
-				Experiment:        exp.ID,
-				Seed:              42,
-				Scale:             0.1,
-				Shards:            shards,
+			rep, stats, err = runOne(WithChaos(NewSubprocess(workers, helperCommand(false)), sp), job, Options{
 				ShardWorkers:      1,
 				Retries:           30,
 				HeartbeatInterval: 100 * time.Millisecond,
@@ -185,12 +178,12 @@ func TestChaosCampaignPartitionHealedByReconnect(t *testing.T) {
 	defer wg.Wait()
 
 	got := make([]string, len(jobs))
-	stats, err := RunCampaign(WithChaos(lt, plan), jobs, CampaignOptions{
+	_, stats, err := Run(WithChaos(lt, plan), jobs, Options{
 		ShardWorkers:      1,
 		Retries:           10,
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatMisses:   20,
-		OnReport: func(ji int, _ Job, rep *experiments.Report) error {
+		Emit: func(ji int, _ Job, rep *experiments.Report) error {
 			got[ji] = rep.String()
 			return nil
 		},
@@ -236,11 +229,7 @@ func TestCorruptFrameDetectedAndSalvaged(t *testing.T) {
 		<-w0dead
 		Serve(c, ServeOptions{Name: "honest", Workers: 1})
 	})
-	rep, stats, err := Run(tr, Options{
-		Experiment:        "fig3-1",
-		Seed:              42,
-		Scale:             0.1,
-		Shards:            2,
+	rep, stats, err := runOne(tr, Job{Experiment: "fig3-1", Seed: 42, Scale: 0.1, Shards: 2}, Options{
 		ShardWorkers:      1,
 		Retries:           2,
 		NoSteal:           true,
@@ -279,11 +268,7 @@ func TestUnauthenticatedWorkerRejected(t *testing.T) {
 		}
 		Serve(c, ServeOptions{Name: "trusted", Workers: 1, Token: "s3cret"})
 	})
-	rep, stats, err := Run(tr, Options{
-		Experiment:   "fig2-2",
-		Seed:         42,
-		Scale:        0.1,
-		Shards:       2,
+	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
 		ShardWorkers: 1,
 		Retries:      2,
 		Token:        "s3cret",
@@ -342,11 +327,7 @@ func TestWedgedWorkerConvertedToRetry(t *testing.T) {
 		<-assigned
 		Serve(c, ServeOptions{Name: "healthy", Workers: 1})
 	})
-	rep, stats, err := Run(tr, Options{
-		Experiment:        "fig2-2",
-		Seed:              42,
-		Scale:             0.1,
-		Shards:            2,
+	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
 		ShardWorkers:      1,
 		Retries:           1,
 		NoSteal:           true, // the requeue, not a steal, must recover the shard

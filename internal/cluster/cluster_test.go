@@ -3,10 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,35 +56,44 @@ func helperCommand(killFirst bool) func(i int) *exec.Cmd {
 	}
 }
 
-// testServeOpts builds worker options; with killFirst, worker 0 drops
-// its connection on its first assignment (the in-process analogue of a
-// killed worker: the shard is assigned and never answered).
-func testServeOpts(i int, killFirst bool) ServeOptions {
-	so := ServeOptions{Name: fmt.Sprintf("w%d", i), Workers: 1}
-	if killFirst && i == 0 {
-		fired := false
-		so.OnAssign = func(Assign) error {
-			if !fired {
-				fired = true
-				return errors.New("injected worker death")
-			}
-			return nil
-		}
-	}
-	return so
-}
-
 // startTransport builds one of the three transports with the given
-// worker count for the experiment runs in these tests.
+// worker count for the experiment runs in these tests. With killFirst,
+// worker 0 dies abruptly on its first assignment (the shard is assigned
+// and never answered), and no other worker sends its hello before that
+// assignment is out: otherwise a fast experiment can finish on the
+// other workers before the killer joins, and the kill never happens.
+// In-process and TCP workers wait for the killer's OnAssign; subprocess
+// workers are held back at the transport's Accept.
 func startTransport(t *testing.T, kind string, workers int, killFirst bool) Transport {
 	t.Helper()
+	killed := make(chan struct{})
+	if !killFirst {
+		close(killed)
+	}
+	serve := func(i int, c Conn) {
+		so := ServeOptions{Name: fmt.Sprintf("w%d", i), Workers: 1}
+		if killFirst && i == 0 {
+			so.OnAssign = func(Assign) error {
+				close(killed)
+				return errors.New("injected worker death")
+			}
+		}
+		Serve(c, so)
+	}
 	switch kind {
 	case "inproc":
 		return NewInProcess(workers, func(i int, c Conn) {
-			Serve(c, testServeOpts(i, killFirst))
+			if i > 0 {
+				<-killed
+			}
+			serve(i, c)
 		})
 	case "subprocess":
-		return NewSubprocess(workers, helperCommand(killFirst))
+		tr := NewSubprocess(workers, helperCommand(killFirst))
+		if killFirst {
+			return newAssignGate(tr, 1)
+		}
+		return tr
 	case "tcp":
 		lt, err := ListenTCP("127.0.0.1:0")
 		if err != nil {
@@ -89,11 +101,14 @@ func startTransport(t *testing.T, kind string, workers int, killFirst bool) Tran
 		}
 		for i := 0; i < workers; i++ {
 			go func(i int) {
+				if i > 0 {
+					<-killed
+				}
 				c, err := DialTCP(lt.Addr())
 				if err != nil {
 					return
 				}
-				Serve(c, testServeOpts(i, killFirst))
+				serve(i, c)
 			}(i)
 		}
 		return lt
@@ -102,14 +117,94 @@ func startTransport(t *testing.T, kind string, workers int, killFirst bool) Tran
 	return nil
 }
 
+// assignGate holds every Accept after the first until the coordinator
+// has sent the first accepted worker n assignments. Close releases a
+// held Accept, so an aborted run still winds down.
+type assignGate struct {
+	Transport
+	n         int
+	open      chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
+	accepts   int // Accept runs on the coordinator's accept loop only
+}
+
+func newAssignGate(t Transport, n int) *assignGate {
+	return &assignGate{Transport: t, n: n, open: make(chan struct{}), closed: make(chan struct{})}
+}
+
+func (g *assignGate) Accept() (Conn, error) {
+	g.accepts++
+	if g.accepts > 1 {
+		select {
+		case <-g.open:
+		case <-g.closed:
+			return nil, io.EOF
+		}
+	}
+	c, err := g.Transport.Accept()
+	if err != nil || g.accepts > 1 {
+		return c, err
+	}
+	return &countAssigns{Conn: c, n: g.n, open: g.open}, nil
+}
+
+func (g *assignGate) Close() error {
+	g.closeOnce.Do(func() { close(g.closed) })
+	return g.Transport.Close()
+}
+
+// countAssigns closes open once n assignments have gone out on the
+// conn. Only the conn's sender goroutine calls Send.
+type countAssigns struct {
+	Conn
+	n, sent int
+	open    chan struct{}
+}
+
+func (c *countAssigns) Send(m Message) error {
+	if _, ok := m.(*Assign); ok {
+		if c.sent++; c.sent == c.n {
+			close(c.open)
+		}
+	}
+	return c.Conn.Send(m)
+}
+
+// runOne runs a one-job Run and returns the job's report.
+func runOne(tr Transport, j Job, o Options) (*experiments.Report, RunStats, error) {
+	res, stats, err := Run(tr, []Job{j}, o)
+	if err != nil {
+		return nil, stats, err
+	}
+	return res[0].Report, stats, nil
+}
+
+// recvAssign reads a hand-rolled worker's conn up to its next
+// assignment, skipping the warm-up Prepare every worker is sent and
+// answering heartbeats on the way.
+func recvAssign(c Conn) (*Assign, error) {
+	for {
+		m, err := c.Recv()
+		if err != nil {
+			return nil, err
+		}
+		switch m := m.(type) {
+		case *Assign:
+			return m, nil
+		case *Ping:
+			c.Send(&Pong{Seq: m.Seq})
+		case *Prepare:
+		default:
+			return nil, fmt.Errorf("got %T, want an assignment", m)
+		}
+	}
+}
+
 func clusterRun(t *testing.T, kind, id string, workers, shards int, killFirst bool) (*experiments.Report, RunStats) {
 	t.Helper()
 	tr := startTransport(t, kind, workers, killFirst)
-	rep, stats, err := Run(tr, Options{
-		Experiment:   id,
-		Seed:         42,
-		Scale:        0.1,
-		Shards:       shards,
+	rep, stats, err := runOne(tr, Job{Experiment: id, Seed: 42, Scale: 0.1, Shards: shards}, Options{
 		ShardWorkers: 1,
 		Retries:      3,
 	})
@@ -144,21 +239,28 @@ func TestKilledWorkerProcessShardRedispatched(t *testing.T) {
 }
 
 // TestWorkerErrorExhaustsRetryBudget drives a shard that fails
-// deterministically (unknown experiment id) into the retry budget and
-// expects a clean abort carrying the worker's error.
+// deterministically (its worker answers every assignment with a
+// ShardError) into the retry budget and expects a clean abort carrying
+// the worker's error.
 func TestWorkerErrorExhaustsRetryBudget(t *testing.T) {
-	tr := startTransport(t, "inproc", 1, false)
-	_, _, err := Run(tr, Options{
-		Experiment: "no-such-experiment",
-		Seed:       42,
-		Scale:      0.1,
-		Shards:     2,
-		Retries:    1,
+	tr := NewInProcess(1, func(i int, c Conn) {
+		if err := Handshake(c, "failing", ""); err != nil {
+			return
+		}
+		for {
+			a, err := recvAssign(c)
+			if err != nil || c.Send(&ShardError{Job: a.Job, Shard: a.Shard, Msg: "injected shard failure"}) != nil {
+				return
+			}
+		}
+	})
+	_, _, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
+		Retries: 1,
 	})
 	if err == nil {
-		t.Fatal("run of unknown experiment succeeded")
+		t.Fatal("run whose every shard fails succeeded")
 	}
-	if !strings.Contains(err.Error(), "unknown experiment") || !strings.Contains(err.Error(), "failed 2 times") {
+	if !strings.Contains(err.Error(), "injected shard failure") || !strings.Contains(err.Error(), "failed 2 times") {
 		t.Errorf("error %q does not describe the exhausted retry budget", err)
 	}
 }
@@ -171,12 +273,8 @@ func TestWorkerExitCodePropagation(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	tr := NewSubprocess(1, helperCommand(true))
-	_, _, err := Run(tr, Options{
-		Experiment: "fig2-2",
-		Seed:       42,
-		Scale:      0.1,
-		Shards:     2,
-		Retries:    0,
+	_, _, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
+		Retries: 0,
 	})
 	if err == nil {
 		t.Fatal("run with only a dying worker succeeded")
@@ -199,12 +297,8 @@ func TestAllWorkersGoneAborts(t *testing.T) {
 		so.OnAssign = func(Assign) error { return errors.New("always dies") }
 		Serve(c, so)
 	})
-	_, _, err := Run(tr, Options{
-		Experiment: "fig2-2",
-		Seed:       42,
-		Scale:      0.1,
-		Shards:     2,
-		Retries:    100,
+	_, _, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
+		Retries: 100,
 	})
 	if err == nil {
 		t.Fatal("run with no surviving workers succeeded")
@@ -216,18 +310,20 @@ func TestAllWorkersGoneAborts(t *testing.T) {
 
 // TestProtocolViolatorDroppedRunCompletes: a worker answering with the
 // wrong shard id is dropped, its shard is salvaged, and the run
-// completes byte-identically on the remaining worker.
+// completes byte-identically on the remaining worker. The honest
+// worker joins only once the liar's connection is gone, so no steal
+// can cover the liar's shard first: the requeue is certain.
 func TestProtocolViolatorDroppedRunCompletes(t *testing.T) {
 	exp, _ := experiments.ByID("fig2-2")
 	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+	dropped := make(chan struct{})
 	tr := NewInProcess(2, func(i int, c Conn) {
 		if i == 0 {
+			defer close(dropped)
 			// Liar: claims completion of a shard it was never assigned.
 			Handshake(c, "liar", "")
-			if m, err := c.Recv(); err == nil {
-				if a, ok := m.(*Assign); ok {
-					c.Send(&ShardDone{Shard: a.Shard + 1})
-				}
+			if a, err := recvAssign(c); err == nil {
+				c.Send(&ShardDone{Shard: a.Shard + 1})
 			}
 			for {
 				if _, err := c.Recv(); err != nil {
@@ -235,14 +331,11 @@ func TestProtocolViolatorDroppedRunCompletes(t *testing.T) {
 				}
 			}
 		}
+		<-dropped
 		Serve(c, ServeOptions{Name: "honest", Workers: 1})
 	})
-	rep, stats, err := Run(tr, Options{
-		Experiment: "fig2-2",
-		Seed:       42,
-		Scale:      0.1,
-		Shards:     3,
-		Retries:    3,
+	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 3}, Options{
+		Retries: 3,
 	})
 	if err != nil {
 		t.Fatalf("run with a protocol violator: %v", err)
@@ -255,13 +348,27 @@ func TestProtocolViolatorDroppedRunCompletes(t *testing.T) {
 	}
 }
 
-// TestRunValidatesOptions covers the coordinator's own input checks.
+// TestRunValidatesOptions covers the coordinator's own input checks,
+// all made before any worker is contacted.
 func TestRunValidatesOptions(t *testing.T) {
-	if _, _, err := Run(NewInProcess(0, nil), Options{Shards: 1}); err == nil {
-		t.Error("empty experiment accepted")
-	}
-	if _, _, err := Run(NewInProcess(0, nil), Options{Experiment: "x"}); err == nil {
-		t.Error("zero shard count accepted")
+	tr := NewInProcess(0, nil)
+	good := Job{Experiment: "fig2-2", Shards: 1}
+	for _, c := range []struct {
+		name string
+		jobs []Job
+		o    Options
+		want string
+	}{
+		{"no jobs", nil, Options{}, "no jobs"},
+		{"empty experiment", []Job{{Shards: 1}}, Options{}, "unknown experiment"},
+		{"unknown experiment", []Job{good, {Experiment: "no-such", Shards: 2}}, Options{}, "job 1 names unknown experiment"},
+		{"zero shards", []Job{{Experiment: "fig2-2"}}, Options{}, "no shard count"},
+		{"verify above 1", []Job{good}, Options{Verify: 1.5}, "verification fraction"},
+		{"verify NaN", []Job{good}, Options{Verify: math.NaN()}, "verification fraction"},
+	} {
+		if _, _, err := Run(tr, c.jobs, c.o); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want mention of %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -280,11 +387,8 @@ func TestSpeculativeCopyCoversDyingWorker(t *testing.T) {
 			// Takes the only shard, then dies — but only after worker 1
 			// has stolen a copy of it.
 			Handshake(c, "doomed", "")
-			if m, err := c.Recv(); err != nil {
+			if _, err := recvAssign(c); err != nil {
 				t.Errorf("doomed worker: %v", err)
-				return
-			} else if _, ok := m.(*Assign); !ok {
-				t.Errorf("doomed worker got %T, want assign", m)
 				return
 			}
 			close(w0assigned)
@@ -305,12 +409,8 @@ func TestSpeculativeCopyCoversDyingWorker(t *testing.T) {
 		}
 		Serve(c, so)
 	})
-	rep, stats, err := Run(tr, Options{
-		Experiment: "fig2-2",
-		Seed:       42,
-		Scale:      0.1,
-		Shards:     1,
-		Retries:    0, // any charged failure would abort
+	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{
+		Retries: 0, // any charged failure would abort
 	})
 	if err != nil {
 		t.Fatalf("run failed although a live copy covered the death: %v", err)
@@ -338,7 +438,7 @@ func TestHungStragglerCutOffAfterDrainTimeout(t *testing.T) {
 	tr := NewInProcess(2, func(i int, c Conn) {
 		if i == 0 {
 			Handshake(c, "hung", "")
-			if _, err := c.Recv(); err != nil {
+			if _, err := recvAssign(c); err != nil {
 				return
 			}
 			close(w0assigned)
@@ -353,11 +453,7 @@ func TestHungStragglerCutOffAfterDrainTimeout(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		rep, _, runErr = Run(tr, Options{
-			Experiment:   "fig2-2",
-			Seed:         42,
-			Scale:        0.1,
-			Shards:       1,
+		rep, _, runErr = runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{
 			Retries:      0,
 			DrainTimeout: 200 * time.Millisecond,
 		})
@@ -398,7 +494,7 @@ func TestHungVerifierSpeculativelyCovered(t *testing.T) {
 				return
 			}
 			close(w1helloed)
-			if _, err := c.Recv(); err != nil {
+			if _, err := recvAssign(c); err != nil {
 				return
 			}
 			<-hang
@@ -418,21 +514,18 @@ func TestHungVerifierSpeculativelyCovered(t *testing.T) {
 		}
 		Serve(c, so)
 	})
-	stats, err := RunCampaign(tr, []Job{{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}}, CampaignOptions{
+	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{
 		ShardWorkers: 1,
 		Retries:      0, // any charged failure would abort
 		NoSteal:      true,
+		Verify:       1,
 		DrainTimeout: 300 * time.Millisecond,
-		VerifyShards: func(job int, j Job) []int { return []int{0} },
-		OnReport: func(_ int, _ Job, r *experiments.Report) error {
-			if got := r.String(); got != base {
-				t.Errorf("report differs:\n%s\nvs\n%s", base, got)
-			}
-			return nil
-		},
 	})
 	if err != nil {
 		t.Fatalf("campaign with a hung verifier: %v", err)
+	}
+	if got := rep.String(); got != base {
+		t.Errorf("report differs:\n%s\nvs\n%s", base, got)
 	}
 	if stats.Verified != 1 {
 		t.Errorf("stats.Verified = %d, want 1", stats.Verified)
@@ -447,12 +540,7 @@ func TestAcceptFailureSurfacesInStallError(t *testing.T) {
 	tr := NewSubprocess(1, func(i int) *exec.Cmd {
 		return exec.Command("/definitely/not/a/binary")
 	})
-	_, _, err := Run(tr, Options{
-		Experiment: "fig2-2",
-		Seed:       42,
-		Scale:      0.1,
-		Shards:     1,
-	})
+	_, _, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{})
 	if err == nil {
 		t.Fatal("run with an unspawnable worker succeeded")
 	}

@@ -70,11 +70,11 @@ func TestControlSubmitCancelLifecycle(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		stats, runErr = RunCampaign(tr, jobs, CampaignOptions{
+		_, stats, runErr = Run(tr, jobs, Options{
 			ShardWorkers: 1,
 			Retries:      3,
 			Control:      ctl,
-			OnReport: func(ji int, j Job, rep *experiments.Report) error {
+			Emit: func(ji int, j Job, rep *experiments.Report) error {
 				emits = append(emits, emit{ji, j.Experiment, rep.String()})
 				return nil
 			},
@@ -169,7 +169,7 @@ func TestControlSubmitCancelLifecycle(t *testing.T) {
 	}
 
 	// A Control binds to exactly one campaign.
-	if _, err := RunCampaign(NewInProcess(0, nil), jobs, CampaignOptions{ShardWorkers: 1, Control: ctl}); err == nil || !strings.Contains(err.Error(), "already attached") {
+	if _, _, err := Run(NewInProcess(0, nil), jobs, Options{ShardWorkers: 1, Control: ctl}); err == nil || !strings.Contains(err.Error(), "already attached") {
 		t.Errorf("control reuse: %v, want attach error", err)
 	}
 }

@@ -8,18 +8,16 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/parallel"
-	"repro/internal/phy"
 	istats "repro/internal/stats"
 )
 
-// Job is one entry of a campaign: reproduce Experiment at Scale with
-// Seed, its trial space split into Shards queued shards. Jobs run in
+// Job is one entry of a run: reproduce Experiment at Scale with Seed,
+// its trial space split into Shards queued shards. Jobs run in
 // submission order in the sense that fresh shards of job i always
 // dispatch before fresh shards of job i+1 — but the moment job i's
 // queue drains, idle workers flow into job i+1, so one job's stragglers
@@ -29,29 +27,18 @@ type Job struct {
 	Seed       int64
 	Scale      float64
 	// Shards is this job's queue length K. Keep it a few times the
-	// worker count; the report is byte-identical for every K ≥ 1.
+	// worker count so a straggler holds back one small shard; the report
+	// is byte-identical for every K ≥ 1.
 	Shards int
 }
 
-// Options configures one single-experiment coordinated run (Run); a
-// campaign of several experiments through one fleet goes through
-// RunCampaign.
+// Options configures one Run; every setting applies to every job.
 type Options struct {
-	// Experiment, Seed, Scale identify the run; every assignment carries
-	// them, so any worker's shard k/K output is interchangeable with any
-	// other worker's.
-	Experiment string
-	Seed       int64
-	Scale      float64
-	// Shards is the queue length K. Keep it a few times the worker count
-	// so a straggler holds back one small shard, not 1/workers of the
-	// run; the report is byte-identical for every K ≥ 1.
-	Shards int
 	// ShardWorkers bounds the goroutines each assignment fans across
-	// inside its worker (0 = the worker decides).
+	// inside its worker (0 = the worker decides); MergeWorkers bounds
+	// each merged finish phase's in-process parallelism (0 = one per
+	// CPU).
 	ShardWorkers int
-	// MergeWorkers bounds the merged finish phase's in-process
-	// parallelism (0 = one per CPU).
 	MergeWorkers int
 	// Retries is the failure budget per shard: a shard abandoned by a
 	// dying worker or reported failed re-dispatches up to Retries times
@@ -62,6 +49,12 @@ type Options struct {
 	// wasted cycles (bytes are identical either way and the first result
 	// wins) and caps straggler latency.
 	NoSteal bool
+	// Verify is the verification sampling fraction in [0, 1]: 0 trusts
+	// worker results; any positive fraction re-executes each job's
+	// VerifySample on a second worker and byte-compares the results
+	// through experiments.CanonicalLoops. The determinism contract makes
+	// any divergence a hard fault: the run aborts with a *VerifyError.
+	Verify float64
 	// DrainTimeout bounds how long the coordinator waits, after the last
 	// shard completes, for speculative losers to finish their shard and
 	// exit the protocol cleanly; a worker still busy past the deadline
@@ -81,57 +74,25 @@ type Options struct {
 	// Logf, if set, receives progress lines (dispatches, steals, worker
 	// deaths).
 	Logf func(format string, args ...any)
+	// Emit, if set, receives each job's merged report in submission
+	// order: a report goes out the moment its last shard has merged (and
+	// its verification sample, if any, confirmed), gated only behind
+	// every earlier job's report. Cancelled jobs are skipped. The Job is
+	// passed alongside the index because jobs submitted through the
+	// Control land beyond the initial list, and Emit is their only
+	// delivery. Returning an error aborts the run.
+	Emit func(job int, j Job, rep *experiments.Report) error
 	// Control, if set, attaches a control plane to the run: the loop
-	// publishes immutable status snapshots after every event and accepts
-	// Submit/Cancel mutations as loop events. See Control.
+	// publishes immutable status snapshots after every event (lock-free
+	// for scrapers) and accepts job submission and cancellation as loop
+	// events. A Control attaches to at most one run.
 	Control *Control
 }
 
-// CampaignOptions configures one RunCampaign: the per-fleet knobs of
-// Options plus the campaign-only hooks (report delivery, warm-worker
-// preparation, result verification).
-type CampaignOptions struct {
-	// ShardWorkers, MergeWorkers, Retries, NoSteal, DrainTimeout,
-	// Token, HeartbeatInterval, HeartbeatMisses and Logf mean exactly
-	// what they mean on Options, applied to every job.
-	ShardWorkers      int
-	MergeWorkers      int
-	Retries           int
-	NoSteal           bool
-	DrainTimeout      time.Duration
-	Token             string
-	HeartbeatInterval time.Duration
-	HeartbeatMisses   int
-	Logf              func(format string, args ...any)
-	// Warm sends each worker a Prepare message right after its hello,
-	// naming the frame lengths of WarmFrames (the phy default when nil),
-	// so the worker builds its SNR/airtime tables once — before the
-	// first assignment's trial fan-out would race to build them — and
-	// keeps them cached across every assignment of the campaign.
-	Warm       bool
-	WarmFrames []int
-	// VerifyShards, if set, selects for each job a sample of shard
-	// indices whose results are re-executed (preferably on a different
-	// worker) and byte-compared against the first result through
-	// experiments.CanonicalLoops. The determinism contract makes any
-	// divergence a hard fault: the run aborts with a *VerifyError. It is
-	// called once per job — including jobs submitted later through the
-	// Control, which is why it receives the Job itself rather than an
-	// index into the initial job list.
-	VerifyShards func(job int, j Job) []int
-	// OnReport receives each job's merged report in submission order: a
-	// report is delivered the moment its last shard has merged (and its
-	// verification sample, if any, confirmed), gated only behind the
-	// delivery of every earlier job's report. Cancelled jobs are skipped.
-	// The Job is passed alongside the index so dynamically submitted
-	// jobs (beyond the initial list) can be identified. Returning an
-	// error aborts the campaign.
-	OnReport func(job int, j Job, rep *experiments.Report) error
-	// Control, if set, attaches a control plane to the campaign: the
-	// loop publishes immutable status snapshots after every event
-	// (lock-free for scrapers) and accepts job submission/cancellation
-	// as loop events. A Control attaches to at most one campaign.
-	Control *Control
+// Result pairs one job with its merged report.
+type Result struct {
+	Job    Job
+	Report *experiments.Report
 }
 
 // RunStats summarizes the dispatch history of one run.
@@ -194,6 +155,40 @@ type VerifyError struct {
 func (e *VerifyError) Error() string {
 	return fmt.Sprintf("cluster: verification failed: job %d (%s) shard %d/%d diverges between workers %s and %s (determinism contract broken: corrupt worker or hardware)",
 		e.Job, e.Experiment, e.Shard, e.Shards, e.First, e.Second)
+}
+
+// VerifySample picks the shard indices of one job that verification
+// re-executes, in ascending order: a pure function of (job, index,
+// fraction), so the coordinator, logs, and tests always agree on the
+// sample and reruns of the same jobs verify the same shards. Each shard
+// is included with probability fraction (drawn from the job's own seed
+// stream, decorrelated from every trial seed by the derivation label);
+// a positive fraction always verifies at least one shard, so opting in
+// can never silently verify nothing.
+func VerifySample(job Job, index int, fraction float64) []int {
+	if fraction <= 0 || job.Shards < 1 {
+		return nil
+	}
+	if fraction >= 1 {
+		out := make([]int, job.Shards)
+		for k := range out {
+			out[k] = k
+		}
+		return out
+	}
+	stream := parallel.NewSeedStream(job.Seed).Derive(fmt.Sprintf("campaign-verify/%d/%s", index, job.Experiment))
+	var out []int
+	for k := 0; k < job.Shards; k++ {
+		// Top 53 bits of the derived seed as a uniform draw in [0, 1).
+		u := float64(uint64(stream.Seed(k))>>11) / (1 << 53)
+		if u < fraction {
+			out = append(out, k)
+		}
+	}
+	if len(out) == 0 {
+		out = append(out, int(uint64(stream.Seed(job.Shards))%uint64(job.Shards)))
+	}
+	return out
 }
 
 // exitCoder is implemented by connections that can report how their
@@ -310,75 +305,30 @@ func newNonce() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Run executes one experiment over the transport's workers and returns
-// the merged report: a single-job campaign. See RunCampaign for the
-// scheduling, stealing, retry, and determinism story.
-func Run(t Transport, o Options) (*experiments.Report, RunStats, error) {
-	if o.Experiment == "" {
-		return nil, RunStats{}, errors.New("cluster: no experiment to run")
-	}
-	if o.Shards < 1 {
-		return nil, RunStats{}, fmt.Errorf("cluster: invalid shard count %d", o.Shards)
-	}
-	var rep *experiments.Report
-	stats, err := RunCampaign(t, []Job{{
-		Experiment: o.Experiment,
-		Seed:       o.Seed,
-		Scale:      o.Scale,
-		Shards:     o.Shards,
-	}}, CampaignOptions{
-		ShardWorkers:      o.ShardWorkers,
-		MergeWorkers:      o.MergeWorkers,
-		Retries:           o.Retries,
-		NoSteal:           o.NoSteal,
-		DrainTimeout:      o.DrainTimeout,
-		Token:             o.Token,
-		HeartbeatInterval: o.HeartbeatInterval,
-		HeartbeatMisses:   o.HeartbeatMisses,
-		Logf:              o.Logf,
-		Control:           o.Control,
-		OnReport: func(job int, _ Job, r *experiments.Report) error {
-			if job == 0 {
-				rep = r
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	if rep == nil {
-		return nil, stats, errors.New("cluster: internal error: campaign finished without delivering the report")
-	}
-	return rep, stats, nil
-}
-
-// RunCampaign executes an ordered set of jobs over one fleet. Every job
-// owns a shard queue; a worker going idle takes the next fresh shard of
-// the earliest incomplete job, then a pending verification re-run, then
-// a speculative copy stolen from a straggler — so shards of different
-// experiments interleave in one multi-queue and the tail of job i
-// overlaps the head of job i+1. Shards lost to dying workers
-// re-dispatch within the per-shard retry budget, the first completion
-// of each shard wins, and each job's completed shard set feeds
-// experiments.MergeShards unchanged — so every report is byte-identical
-// to the single-process run of its job, whatever the transport, worker
-// count, assignment order, interleaving, or failure history. Reports
-// are delivered through o.OnReport in submission order, each the moment
-// its merge (and verification sample) completes and its predecessors
-// are out.
-func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
+// Run executes an ordered set of jobs over the transport's workers and
+// returns one result per job, in submission order; a single experiment
+// is a one-job run. Every job owns a shard queue; a worker going idle
+// takes the next fresh shard of the earliest incomplete job, then a
+// pending verification re-run, then a speculative copy stolen from a
+// straggler — so shards of different experiments interleave in one
+// multi-queue and the tail of job i overlaps the head of job i+1. Shards
+// lost to dying workers re-dispatch within the per-shard retry budget,
+// the first completion of each shard wins, and each job's completed
+// shard set feeds experiments.MergeShards unchanged — so every report
+// is byte-identical to the single-process run of its job, whatever the
+// transport, worker count, assignment order, interleaving, or failure
+// history. Reports also go out through o.Emit in submission order, each
+// the moment its merge (and verification sample) completes and its
+// predecessors are out.
+func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 	var stats RunStats
 	if len(jobs) == 0 {
-		return stats, errors.New("cluster: empty campaign")
+		return nil, stats, errors.New("cluster: no jobs")
 	}
-	for ji, j := range jobs {
-		if j.Experiment == "" {
-			return stats, fmt.Errorf("cluster: campaign job %d names no experiment", ji)
-		}
-		if j.Shards < 1 {
-			return stats, fmt.Errorf("cluster: campaign job %d (%s) has invalid shard count %d", ji, j.Experiment, j.Shards)
-		}
+	// Negated form so NaN (for which every comparison is false) is
+	// rejected too.
+	if !(o.Verify >= 0 && o.Verify <= 1) {
+		return nil, stats, fmt.Errorf("cluster: verification fraction %g outside [0, 1]", o.Verify)
 	}
 	logf := o.Logf
 	if logf == nil {
@@ -402,36 +352,52 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 		cutoff = hbInterval * time.Duration(hbMisses)
 	}
 
-	states := make([]*jobState, len(jobs))
-	for ji, j := range jobs {
-		states[ji] = &jobState{
+	// admit validates a job and queues it behind every earlier one,
+	// with its verification sample. Jobs given at start and jobs
+	// submitted through the Control both come in here.
+	var states []*jobState
+	admit := func(j Job) (int, error) {
+		ji := len(states)
+		if _, ok := experiments.ByID(j.Experiment); !ok {
+			return 0, fmt.Errorf("cluster: job %d names unknown experiment %q", ji, j.Experiment)
+		}
+		if j.Shards < 1 {
+			return 0, fmt.Errorf("cluster: job %d (%s) has no shard count", ji, j.Experiment)
+		}
+		js := &jobState{
 			job:      j,
 			queue:    parallel.NewShardQueue(j.Shards),
 			partials: make([]*experiments.Partial, j.Shards),
 			failures: make([]int, j.Shards),
 			verify:   map[int]*verifyState{},
+			sampled:  VerifySample(j, ji, o.Verify),
 		}
-	}
-	if o.VerifyShards != nil {
-		for ji, js := range states {
-			for _, k := range o.VerifyShards(ji, js.job) {
-				if k < 0 || k >= js.job.Shards {
-					return stats, fmt.Errorf("cluster: verification sample names shard %d of job %d (%d shards)", k, ji, js.job.Shards)
-				}
-				if js.verify[k] == nil {
-					js.verify[k] = &verifyState{}
-					js.sampled = append(js.sampled, k)
-					js.verifyLeft++
-				}
-			}
-			sort.Ints(js.sampled)
+		for _, k := range js.sampled {
+			js.verify[k] = &verifyState{}
 		}
+		js.verifyLeft = len(js.sampled)
+		states = append(states, js)
+		return ji, nil
 	}
+	results := make([]Result, len(jobs))
+	ids := make([]string, len(jobs))
+	for ji, j := range jobs {
+		if _, err := admit(j); err != nil {
+			return nil, stats, err
+		}
+		results[ji].Job = j
+		ids[ji] = j.Experiment
+	}
+	// Every worker is told right after its hello to build the phy tables
+	// the initial jobs will read, once, before the first assignment's
+	// trial fan-out would race to build them; they stay cached across
+	// every assignment of the run. Jobs submitted later warm lazily.
+	prepare := &Prepare{Frames: experiments.FrameSizes(ids...)}
 
 	ctl := o.Control
 	if ctl != nil {
 		if !ctl.attach() {
-			return stats, errors.New("cluster: Control already attached to a campaign")
+			return nil, stats, errors.New("cluster: Control already attached to a campaign")
 		}
 		// finish unblocks every pending and future Submit/Cancel with
 		// ErrNotRunning once the campaign is over (including all early
@@ -622,8 +588,11 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 			if js.merged == nil || js.verifyLeft > 0 {
 				return
 			}
-			if o.OnReport != nil {
-				if err := o.OnReport(nextEmit, js.job, js.merged); err != nil {
+			if nextEmit < len(results) {
+				results[nextEmit].Report = js.merged
+			}
+			if o.Emit != nil {
+				if err := o.Emit(nextEmit, js.job, js.merged); err != nil {
 					abort(fmt.Errorf("cluster: delivering job %d (%s) report: %w", nextEmit, js.job.Experiment, err))
 					return
 				}
@@ -656,61 +625,48 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 		})
 	}
 
-	// fail returns one lost dispatch of job ji's shard k to its queue.
-	// The failure budget is charged — and, when exhausted, the run
-	// aborted — only when no speculative copy of the shard is still
-	// computing: a loss that stealing already covers is not a loss of
-	// progress.
-	fail := func(ji, k int, cause error) {
+	// fail returns one lost dispatch of job ji's shard k to where it
+	// came from: a fresh run to the job's queue, a verification re-run
+	// to the verify queue. The failure budget is charged — and, when
+	// exhausted, the run aborted — only when no other copy is still
+	// computing: a loss that speculation already covers is not a loss
+	// of progress.
+	fail := func(ji, k int, verify bool, cause error) {
 		js := states[ji]
-		// The dispatch always comes back, even for a completed shard —
-		// Requeue on a done shard only fixes the live-copy accounting.
-		live := js.queue.Requeue(k)
-		if js.cancelled {
+		what := "shard"
+		var live int
+		var done bool
+		if verify {
+			what = "verification of shard"
+			vs := js.verify[k]
+			if vs.inFlight > 0 {
+				vs.inFlight--
+			}
+			live, done = vs.inFlight, vs.resolved
+		} else {
+			// The dispatch always comes back, even for a completed shard —
+			// Requeue on a done shard only fixes the live-copy accounting.
+			live, done = js.queue.Requeue(k), js.queue.Completed(k)
+		}
+		if js.cancelled || done {
 			// A cancelled job charges no budget: the loss costs nothing
 			// because the result would have been discarded anyway.
 			return
 		}
-		if js.queue.Completed(k) {
-			return
-		}
 		if live > 0 {
-			logf("cluster: a copy of job %d shard %d/%d failed, %d live copies remain: %v", ji, k, js.job.Shards, live, cause)
+			logf("cluster: a copy of job %d %s %d/%d failed, %d live copies remain: %v", ji, what, k, js.job.Shards, live, cause)
 			return
 		}
 		js.failures[k]++
 		stats.Requeued++
 		if js.failures[k] > retries {
-			abort(fmt.Errorf("cluster: job %d (%s): shard %d/%d failed %d times, last: %w", ji, js.job.Experiment, k, js.job.Shards, js.failures[k], cause))
+			abort(fmt.Errorf("cluster: job %d (%s): %s %d/%d failed %d times, last: %w", ji, js.job.Experiment, what, k, js.job.Shards, js.failures[k], cause))
 			return
 		}
-		logf("cluster: requeueing job %d shard %d/%d after failure %d/%d: %v", ji, k, js.job.Shards, js.failures[k], retries, cause)
-	}
-
-	// verifyFail returns a lost verification re-run to the verify queue,
-	// charged against the same per-shard failure budget. Like fail, a
-	// loss that a live speculative copy already covers charges nothing.
-	verifyFail := func(ji, k int, cause error) {
-		js := states[ji]
-		vs := js.verify[k]
-		if vs.inFlight > 0 {
-			vs.inFlight--
+		logf("cluster: requeueing job %d %s %d/%d after failure %d/%d: %v", ji, what, k, js.job.Shards, js.failures[k], retries, cause)
+		if verify {
+			js.verifyQueue = append(js.verifyQueue, k)
 		}
-		if js.cancelled || vs.resolved {
-			return
-		}
-		if vs.inFlight > 0 {
-			logf("cluster: a copy of job %d shard %d/%d's verification failed, %d live copies remain: %v", ji, k, js.job.Shards, vs.inFlight, cause)
-			return
-		}
-		js.failures[k]++
-		stats.Requeued++
-		if js.failures[k] > retries {
-			abort(fmt.Errorf("cluster: job %d (%s): verification of shard %d/%d failed %d times, last: %w", ji, js.job.Experiment, k, js.job.Shards, js.failures[k], cause))
-			return
-		}
-		logf("cluster: requeueing verification of job %d shard %d/%d after failure %d/%d: %v", ji, k, js.job.Shards, js.failures[k], retries, cause)
-		js.verifyQueue = append(js.verifyQueue, k)
 	}
 
 	stopWorker := func(w *workerState) {
@@ -845,11 +801,7 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 		if k < 0 {
 			return
 		}
-		if verify {
-			verifyFail(ji, k, cause)
-		} else {
-			fail(ji, k, cause)
-		}
+		fail(ji, k, verify, cause)
 		pump()
 	}
 
@@ -900,12 +852,6 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 			d = time.Minute
 		}
 		drainDeadline = time.NewTimer(d).C
-	}
-
-	// warmFrames is what Prepare asks workers to pre-build.
-	warmFrames := o.WarmFrames
-	if len(warmFrames) == 0 {
-		warmFrames = []int{phy.DefaultFrameBytes}
 	}
 
 	// publish builds a fresh immutable Snapshot of the loop's state and
@@ -1024,15 +970,6 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 			r := ev.ctl
 			switch {
 			case r.submit != nil:
-				j := *r.submit
-				if _, ok := experiments.ByID(j.Experiment); !ok {
-					r.reply <- ctlReply{err: fmt.Errorf("cluster: submit: unknown experiment %q", j.Experiment)}
-					break
-				}
-				if j.Shards < 1 {
-					r.reply <- ctlReply{err: fmt.Errorf("cluster: submit: job %s has invalid shard count %d", j.Experiment, j.Shards)}
-					break
-				}
 				if allDone() {
 					// All existing work is finished and the fleet is
 					// stopping (or already stopped): a job admitted now
@@ -1041,30 +978,13 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 					r.reply <- ctlReply{err: errors.New("cluster: submit: campaign already draining")}
 					break
 				}
-				ji := len(states)
-				js := &jobState{
-					job:      j,
-					queue:    parallel.NewShardQueue(j.Shards),
-					partials: make([]*experiments.Partial, j.Shards),
-					failures: make([]int, j.Shards),
-					verify:   map[int]*verifyState{},
-				}
-				states = append(states, js)
-				if o.VerifyShards != nil {
-					for _, k := range o.VerifyShards(ji, j) {
-						if k < 0 || k >= j.Shards {
-							continue
-						}
-						if js.verify[k] == nil {
-							js.verify[k] = &verifyState{}
-							js.sampled = append(js.sampled, k)
-							js.verifyLeft++
-						}
-					}
-					sort.Ints(js.sampled)
+				ji, err := admit(*r.submit)
+				if err != nil {
+					r.reply <- ctlReply{err: fmt.Errorf("cluster: submit: %w", err)}
+					break
 				}
 				stats.Submitted++
-				logf("cluster: control: submitted job %d (%s, %d shards)", ji, j.Experiment, j.Shards)
+				logf("cluster: control: submitted job %d (%s, %d shards)", ji, r.submit.Experiment, r.submit.Shards)
 				r.reply <- ctlReply{job: ji}
 				pump()
 			default:
@@ -1199,9 +1119,7 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 				w.name = m.Name
 				stats.Workers++
 				logf("cluster: worker %s connected", w.name)
-				if o.Warm {
-					send(w, &Prepare{Frames: warmFrames})
-				}
+				send(w, prepare)
 				dispatch(w)
 			case *Pong:
 				// Liveness answer; lastSeen is already refreshed above.
@@ -1372,9 +1290,9 @@ func RunCampaign(t Transport, jobs []Job, o CampaignOptions) (RunStats, error) {
 	if abortErr != nil {
 		if lastExit != nil {
 			lastExit.Err = abortErr
-			return stats, lastExit
+			return nil, stats, lastExit
 		}
-		return stats, abortErr
+		return nil, stats, abortErr
 	}
-	return stats, nil
+	return results, stats, nil
 }

@@ -1,8 +1,8 @@
 // Package cluster is the transport-abstracted, work-stealing execution
-// runtime for sharded experiments. A coordinator (Run for one
-// experiment, RunCampaign for an ordered sequence of them) owns one
-// dynamic shard queue (parallel.ShardQueue) per job and a set of worker
-// connections delivered by a Transport; workers (Serve) run shards
+// runtime for sharded experiments. A coordinator (Run, for an ordered
+// list of jobs; one experiment is a one-job run) owns one dynamic shard
+// queue (parallel.ShardQueue) per job and a set of worker connections
+// delivered by a Transport; workers (Serve) run shards
 // through experiments.RunShardStream and stream the per-loop partial
 // records back. Three transports exist — in-process goroutines,
 // subprocess pipes, and TCP — and every job's report is byte-identical
@@ -121,11 +121,11 @@ func verifyHello(token, nonce string, h *Hello) bool {
 	return hmac.Equal([]byte(h.MAC), []byte(helloMAC(token, nonce, h.Name)))
 }
 
-// Prepare is the warm-worker step of a campaign: sent right after the
+// Prepare is the warm-worker step of a run: sent right after the
 // hello, before the first assignment, it names the frame lengths whose
 // phy tables (SNR→PER curves, airtime costs) the worker should build
 // now. The tables live in process-global caches, so one prepare warms
-// every assignment the worker will run in the campaign; without it each
+// every assignment the worker will run; without it each
 // first-touch trial pays the LUT construction inside its hot loop.
 // Prepare is advisory — a worker that ignores it is merely slower.
 type Prepare struct {
@@ -133,10 +133,10 @@ type Prepare struct {
 	Frames []int `json:"frames"`
 }
 
-// Assign hands one shard of one job to a worker. Job identifies the
-// campaign job the shard belongs to (0 for single-experiment runs);
-// every reply about the shard echoes it, so one worker can interleave
-// shards of different experiments within a campaign. Workers bounds the
+// Assign hands one shard of one job to a worker. Job is the index of
+// the job the shard belongs to; every reply about the shard echoes it,
+// so one worker can interleave shards of different experiments within
+// a run. Workers bounds the
 // goroutines the worker fans the shard's trials across (0 = worker's
 // choice).
 type Assign struct {

@@ -108,8 +108,8 @@ type ctlReply struct {
 // Control is the handle a control plane holds on one campaign: a
 // lock-free snapshot feed plus job submission and cancellation against
 // the running scheduler. Create it with NewControl, pass it in
-// CampaignOptions.Control (or Options.Control), and share it with the
-// status server. A Control attaches to at most one campaign.
+// Options.Control, and share it with the status server. A Control
+// attaches to at most one campaign.
 type Control struct {
 	snap     atomic.Pointer[Snapshot]
 	reqs     chan ctlReq
@@ -134,9 +134,10 @@ func (c *Control) Done() <-chan struct{} { return c.done }
 
 // Submit queues a new job on the running campaign and returns its job
 // index. The job dispatches after every earlier job's fresh shards,
-// like any campaign entry, and its report is delivered through OnReport
-// in submission order. Submission is rejected once the campaign is
-// draining (all existing work done) — the fleet is already stopping.
+// like any campaign entry, and its report is delivered through
+// Options.Emit in submission order. Submission is rejected once the
+// campaign is draining (all existing work done) — the fleet is already
+// stopping.
 func (c *Control) Submit(j Job) (int, error) {
 	return c.roundTrip(ctlReq{submit: &j, reply: make(chan ctlReply, 1)})
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // subTrialExperiments are the heavy runners that used to pin a whole
-// trial (or the whole experiment) to one worker; since the sub-trial
-// decomposition their trial spaces are Cells×Units grids that genuinely
-// spread across a fleet. The generic golden tests already sweep them as
-// part of the registry; the tests here pin the intra-trial claims from
-// the issue — real multi-shard dispatch on a four-worker fleet, and
-// byte-identity surviving a worker killed while holding a sub-trial
-// chunk.
+// trial (or the whole experiment) to one worker. fig3's trial spaces
+// are now Cells×Units sub-trial grids, and fig4's timeline figures are
+// plain loops of one trial per curve (four each), so all of them
+// genuinely spread across a fleet. The generic golden tests already
+// sweep them as part of the registry; the tests here pin real
+// multi-shard dispatch on a four-worker fleet, and byte-identity
+// surviving a worker killed while holding one shard of them.
 var subTrialExperiments = []string{"fig3-5", "fig3-6", "fig3-7", "fig4-4", "fig4-5", "fig4-6"}
 
 // TestSubTrialExperimentsSpreadAcrossFleet: each restructured heavy
@@ -58,8 +58,8 @@ func TestSubTrialReportsIdenticalWithWorkerKilledMidSubTrial(t *testing.T) {
 	if underRace {
 		transports = []string{"inproc"}
 	}
-	// One windowed tracker and one protocol-grid experiment cover both
-	// sub-trial shapes; the registry-wide kill test sweeps the rest.
+	// One protocol-grid experiment and one per-curve tracker loop cover
+	// both shapes; the registry-wide kill test sweeps the rest.
 	for _, id := range []string{"fig3-7", "fig4-6"} {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"bytes"
+	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -92,14 +92,15 @@ func TestReportsIdenticalAcrossShards(t *testing.T) {
 					if err != nil {
 						t.Fatalf("RunShard %v: %v", shard, err)
 					}
-					// Round-trip through the wire format: the parity
-					// guarantee must survive serialize → deserialize.
-					var buf bytes.Buffer
-					if err := p.Encode(&buf); err != nil {
+					// Round-trip through JSON, as the loop records
+					// travel on the wire: the parity guarantee must
+					// survive serialize → deserialize.
+					data, err := json.Marshal(p)
+					if err != nil {
 						t.Fatalf("encode shard %v: %v", shard, err)
 					}
-					p2, err := DecodePartial(&buf)
-					if err != nil {
+					p2 := new(Partial)
+					if err := json.Unmarshal(data, p2); err != nil {
 						t.Fatalf("decode shard %v: %v", shard, err)
 					}
 					// Prepend: the coordinator sees shards in reverse

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/channel"
 	"repro/internal/mesh"
-	"repro/internal/parallel"
 	"repro/internal/phy"
 	"repro/internal/probing"
 	"repro/internal/sensors"
@@ -19,28 +19,20 @@ func init() {
 	register("fig4-2", "estimate error vs probing rate, static", Fig4_2, tags("ch4", "probing", "paper"))
 	register("fig4-3", "estimate error vs probing rate, mobile", Fig4_3, tags("ch4", "probing", "paper"))
 	register("fig4-4", "delivery probability by probing rate, stationary timeline", Fig4_4,
-		frames(phy.DefaultFrameBytes), tags("ch4", "probing", "paper"), plan(trackingPlan))
+		frames(phy.DefaultFrameBytes), tags("ch4", "probing", "paper"))
 	register("fig4-5", "delivery probability by probing rate, mobile timeline", Fig4_5,
-		frames(phy.DefaultFrameBytes), tags("ch4", "probing", "paper"), plan(trackingPlan))
+		frames(phy.DefaultFrameBytes), tags("ch4", "probing", "paper"))
 	register("fig4-6", "adaptive vs fixed probing on a combined trace", Fig4_6,
-		frames(phy.DefaultFrameBytes), tags("ch4", "probing", "paper"), plan(fig46Plan))
+		frames(phy.DefaultFrameBytes), tags("ch4", "probing", "paper"))
 	register("sec4-2", "ETX penalty of erroneous link estimates", Sec4_2, tags("ch4", "probing", "paper"))
 }
 
-// trackingPlan publishes the Figure 4-4/4-5 sub-trial grid: the
-// actual-probability cell plus one cell per tracked probing rate, with
-// one unit per 10 s window of the 25 s run (see trackingTrials).
-func trackingPlan(Config) parallel.SubPlan {
-	const total, win = 25 * time.Second, 10 * time.Second
-	return parallel.SubPlan{Cells: 1 + len(trackRates), Units: int((total + win - 1) / win)}
-}
-
-// fig46Plan publishes the Figure 4-6 grid: the actual curve plus three
-// scheduler strategies, one unit per 20 s window of the scaled run.
-func fig46Plan(cfg Config) parallel.SubPlan {
-	total := time.Duration(cfg.scaleInt(60, 40)) * time.Second
-	const win = 20 * time.Second
-	return parallel.SubPlan{Cells: 4, Units: int((total + win - 1) / win)}
+// sharedTrace generates one trace per run, on first use. The timeline
+// figures replay every curve over the same trace, and the trace is a
+// pure function of its config, so the trials of a run (or of a shard)
+// share a single generation.
+func sharedTrace(c channel.Config) func() *trace.FateTrace {
+	return sync.OnceValue(func() *trace.FateTrace { return channel.Generate(c) })
 }
 
 // probingEnv is the marginal mesh-scale link the Chapter 4 measurements
@@ -297,57 +289,26 @@ func Fig4_3(cfg Config) *Report {
 // trackRates are the probing rates of the Figure 4-4/4-5 timelines.
 var trackRates = []float64{1, 5, 10}
 
-// windowOf maps a sample time to its index among nWin time windows of
-// width win (the last window absorbs any tail past the grid).
-func windowOf(at time.Duration, win time.Duration, nWin int) int {
-	w := int(at / win)
-	if w >= nWin {
-		w = nWin - 1
-	}
-	return w
-}
-
-// trackingTrials runs the Figure 4-4/4-5 timeline as a sub-trial grid
-// over one shared 25 s trace: cell 0 emits the actual-probability
-// curve, and each tracked probing rate is a cell whose units are time
-// windows of the run. A window unit replays the scheduler run from
-// t = 0 — the run is a pure function of (trace, seed), so the prefix
-// replay reconstructs the estimator and RNG state the window starts
-// with — and emits only the samples its window owns. Windows are
-// visited in trial order, so every collector receives its samples in
-// time order, exactly as the old single-trial loop emitted them; the
-// replays are hundreds of probes while the shared trace generation is
-// memoized per process, so fanning the grid moves real work.
+// trackingTrials runs the Figure 4-4/4-5 timeline over one shared 25 s
+// trace: trial 0 emits the actual-probability curve, and trial k runs
+// the fixed scheduler at trackRates[k-1] over the whole trace.
 func trackingTrials(cfg Config, mode sensors.MobilityMode, seedOff int64, label string) {
 	const total = 25 * time.Second
-	const win = 10 * time.Second
-	nWin := int((total + win - 1) / win)
-	plan := parallel.SubPlan{Cells: 1 + len(trackRates), Units: nWin}
-	var pool channel.TracePool
-	prov := newTraceProvider(cfg, &pool, plan.Trials(), plan.Trials(), func(int) channel.Config {
-		sched := sensors.Schedule{{Start: 0, End: total, Mode: mode}}
-		return channel.Config{Env: probingEnv(), Sched: sched, Total: total, Seed: cfg.Seed + seedOff}
-	})
-	cfg.subTrials(label, plan, func(idx int, em *Emitter) {
-		cell, w := plan.Cell(idx)
-		tr := prov.acquire(0)
-		defer prov.release(0)
-		if cell == 0 {
-			if w == 0 {
-				for t := time.Duration(0); t < total; t += 250 * time.Millisecond {
-					em.Point("actual", t.Seconds(), tr.WindowProb(t, probing.ActualWindow, probing.ProbeRate))
-				}
+	sched := sensors.Schedule{{Start: 0, End: total, Mode: mode}}
+	shared := sharedTrace(channel.Config{Env: probingEnv(), Sched: sched, Total: total, Seed: cfg.Seed + seedOff})
+	cfg.trials(label, 1+len(trackRates), func(i int, em *Emitter) {
+		tr := shared()
+		if i == 0 {
+			for t := time.Duration(0); t < total; t += 250 * time.Millisecond {
+				em.Point("actual", t.Seconds(), tr.WindowProb(t, probing.ActualWindow, probing.ProbeRate))
 			}
 			return
 		}
-		rate := trackRates[cell-1]
+		rate := trackRates[i-1]
 		res := probing.RunScheduler(tr, &probing.FixedScheduler{PerSecond: rate}, 10, cfg.Seed+seedOff+int64(rate))
 		// Skip the window-fill transient (10 probes).
 		fill := time.Duration(float64(10*time.Second) / rate)
 		for _, smp := range res.Samples {
-			if windowOf(smp.At, win, nWin) != w {
-				continue
-			}
 			em.Point(trackKey(rate), smp.At.Seconds(), smp.Observed)
 			if smp.At > fill {
 				em.Add(trackErrKey(rate), smp.Error())
@@ -364,9 +325,6 @@ func trackingReport(cfg Config, r *Report) map[float64]float64 {
 	for _, rate := range trackRates {
 		name := fmt.Sprintf("%.0f probe/s", rate)
 		r.Series = append(r.Series, cfg.seriesCol(trackKey(rate), name))
-		// Per-sample errors absorb in window (= time) order, so this mean
-		// sums the same values in the same order as the old single-trial
-		// emission.
 		meanErr[rate] = cfg.acc(trackErrKey(rate)).Mean()
 	}
 	r.Columns = []string{"mean error"}
@@ -426,17 +384,10 @@ func Fig4_6(cfg Config) *Report {
 	total := time.Duration(cfg.scaleInt(60, 40)) * time.Second
 	sched := sensors.AlternatingSchedule(total, 10*time.Second, sensors.Walk, false)
 
-	// The run is a sub-trial grid over one shared trace: cell 0 emits
-	// the actual-probability curve, cells 1–3 are the three scheduler
-	// strategies, and each strategy cell's units are 20 s time windows.
-	// A window unit replays its strategy from t = 0 — the stateful hint
-	// scheduler's movingTill/linger state is a pure function of the
-	// (trace, seed) prefix, so the replay carries the state the window
-	// starts with — and emits only its window's samples, per-sample
-	// mobile-phase errors, and probe count. Finish sums/means them in
-	// window order, reproducing the old single-trial statistics exactly.
-	const fig46Win = 20 * time.Second
-	nWin := int((total + fig46Win - 1) / fig46Win)
+	// Trial 0 emits the actual-probability curve over the shared trace;
+	// trials 1–3 run one scheduler strategy each over the whole trace
+	// and emit its samples, per-sample mobile-phase errors, and probe
+	// count.
 	type strategy struct {
 		series string // sample series collector ("" = none)
 		err    string
@@ -455,31 +406,18 @@ func Fig4_6(cfg Config) *Report {
 			return probing.RunScheduler(tr, &probing.FixedScheduler{PerSecond: 10}, 10, cfg.Seed+504)
 		}},
 	}
-	plan := parallel.SubPlan{Cells: 1 + len(strategies), Units: nWin}
-	var pool channel.TracePool
-	prov := newTraceProvider(cfg, &pool, plan.Trials(), plan.Trials(), func(int) channel.Config {
-		return channel.Config{Env: probingEnv(), Sched: sched, Total: total, Seed: cfg.Seed + 501}
-	})
-	cfg.subTrials("fig4-6", plan, func(idx int, em *Emitter) {
-		cell, w := plan.Cell(idx)
-		tr := prov.acquire(0)
-		defer prov.release(0)
-		if cell == 0 {
-			if w == 0 {
-				for t := time.Duration(0); t < total; t += 500 * time.Millisecond {
-					em.Point("actual", t.Seconds(), tr.WindowProb(t, probing.ActualWindow, probing.ProbeRate))
-				}
+	shared := sharedTrace(channel.Config{Env: probingEnv(), Sched: sched, Total: total, Seed: cfg.Seed + 501})
+	cfg.trials("fig4-6", 1+len(strategies), func(i int, em *Emitter) {
+		tr := shared()
+		if i == 0 {
+			for t := time.Duration(0); t < total; t += 500 * time.Millisecond {
+				em.Point("actual", t.Seconds(), tr.WindowProb(t, probing.ActualWindow, probing.ProbeRate))
 			}
 			return
 		}
-		st := strategies[cell-1]
+		st := strategies[i-1]
 		res := st.run(tr)
-		probes := 0
 		for _, smp := range res.Samples {
-			if windowOf(smp.At, fig46Win, nWin) != w {
-				continue
-			}
-			probes++
 			if st.series != "" {
 				em.Point(st.series, smp.At.Seconds(), smp.Observed)
 			}
@@ -489,9 +427,8 @@ func Fig4_6(cfg Config) *Report {
 				em.Add(st.err, smp.Error())
 			}
 		}
-		// Every probe yields one sample, so the per-window sample counts
-		// sum to the run's exact probe total.
-		em.Add(st.probes, float64(probes))
+		// Every probe yields one sample.
+		em.Add(st.probes, float64(len(res.Samples)))
 	})
 	if cfg.collecting() {
 		return nil

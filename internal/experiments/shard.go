@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/parallel"
@@ -21,12 +19,13 @@ import (
 //	              trials in global trial-index order, and run the
 //	              experiment's finish phase over the merged collectors.
 //
-// The envelope is JSON for inspectability (cmd/hintshard writes one
-// Partial per worker); the per-collector payloads inside it are the
-// bit-exact binary codecs from internal/stats, base64-wrapped by
-// encoding/json. A report produced by MergeShards is byte-identical to
-// the single-process report for any shard count — the golden test in
-// determinism_test.go enforces this for every registered experiment.
+// Workers stream the envelope's loop records to a coordinator inside
+// the cluster protocol's JSON messages; the per-collector payloads
+// inside them are the bit-exact binary codecs from internal/stats,
+// base64-wrapped by encoding/json. A report produced by MergeShards is
+// byte-identical to the single-process report for any shard count —
+// the golden test in determinism_test.go enforces this for every
+// registered experiment.
 
 // PartialVersion tags the shard wire format; a coordinator refuses
 // partials of any other version.
@@ -164,60 +163,6 @@ func decodeTrial(tp TrialPartial) (*Emitter, error) {
 		}
 	}
 	return em, nil
-}
-
-// Encode writes the partial as JSON.
-func (p *Partial) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(p)
-}
-
-// DecodePartial reads one JSON partial and checks its envelope: known
-// version, well-formed shard coordinates, well-formed loop slices.
-// Collector payloads are validated later, when MergeShards decodes
-// them.
-func DecodePartial(r io.Reader) (*Partial, error) {
-	var p Partial
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("experiments: decoding partial: %w", err)
-	}
-	if p.Version != PartialVersion {
-		return nil, fmt.Errorf("experiments: partial version %d, want %d", p.Version, PartialVersion)
-	}
-	sh := parallel.Shard{Index: p.Shard, Count: p.Shards}
-	if !sh.Valid() {
-		return nil, fmt.Errorf("experiments: partial has invalid shard %d/%d", p.Shard, p.Shards)
-	}
-	if p.Experiment == "" {
-		return nil, fmt.Errorf("experiments: partial names no experiment")
-	}
-	if p.Job < 0 {
-		return nil, fmt.Errorf("experiments: partial carries negative job tag %d", p.Job)
-	}
-	for _, loop := range p.Loops {
-		if loop == nil {
-			return nil, fmt.Errorf("experiments: null loop record")
-		}
-		lo, hi := sh.Range(loop.N)
-		if loop.Lo != lo || len(loop.Trials) != hi-lo {
-			return nil, fmt.Errorf("experiments: loop %q carries trials [%d,%d), shard %v of %d trials owns [%d,%d)",
-				loop.Label, loop.Lo, loop.Lo+len(loop.Trials), sh, loop.N, lo, hi)
-		}
-		if (loop.Cells != 0) != (loop.Units != 0) {
-			return nil, fmt.Errorf("experiments: loop %q carries half a sub-trial plan (%d cells, %d units)",
-				loop.Label, loop.Cells, loop.Units)
-		}
-		if loop.Cells != 0 {
-			// Division instead of multiplication so hostile counts cannot
-			// overflow their way past the check.
-			if loop.Cells < 0 || loop.Units < 0 || loop.N/loop.Units != loop.Cells || loop.N%loop.Units != 0 {
-				return nil, fmt.Errorf("experiments: loop %q declares sub-trial plan %d×%d over %d trials",
-					loop.Label, loop.Cells, loop.Units, loop.N)
-			}
-		}
-	}
-	return &p, nil
 }
 
 // CanonicalLoops serializes a shard result (the loop records streamed

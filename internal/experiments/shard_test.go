@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -84,29 +84,6 @@ func TestMergeShardsValidation(t *testing.T) {
 	}
 }
 
-func TestDecodePartialValidation(t *testing.T) {
-	parts := shardFixture(t, 2)
-	var buf bytes.Buffer
-	if err := parts[1].Encode(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	good := buf.String()
-
-	if _, err := DecodePartial(strings.NewReader(good)); err != nil {
-		t.Fatalf("valid partial rejected: %v", err)
-	}
-	for name, text := range map[string]string{
-		"not json":      "{",
-		"wrong version": strings.Replace(good, `"version":1`, `"version":7`, 1),
-		"bad shard":     strings.Replace(good, `"shard":1`, `"shard":5`, 1),
-		"no experiment": strings.Replace(good, `"experiment":"sec5-3"`, `"experiment":""`, 1),
-	} {
-		if _, err := DecodePartial(strings.NewReader(text)); err == nil {
-			t.Errorf("%s: malformed partial accepted", name)
-		}
-	}
-}
-
 // TestShardWorkerSkipsFinish asserts the worker contract: a collect-mode
 // run returns no report (the partial is the product) and records one
 // loop per cfg.trials call with the plan's slice of each.
@@ -157,14 +134,15 @@ func TestRunShardStreamDeliversLoopsIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := assembled.Encode(&a); err != nil {
+	a, err := json.Marshal(assembled)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := direct.Encode(&b); err != nil {
+	b, err := json.Marshal(direct)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.String() != b.String() {
+	if string(a) != string(b) {
 		t.Fatal("streamed partial differs from RunShard partial")
 	}
 }

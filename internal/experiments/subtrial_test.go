@@ -1,15 +1,15 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/parallel"
 )
 
-// subTrialExperiments are the heavy runners that decompose their trials
-// into sub-trial grids; their loop records must carry the plan.
+// subTrialExperiments are the heavy runners whose trials must spread
+// across shards: fig3's sub-trial grids, and fig4's timeline figures,
+// plain loops of one trial per curve.
 var subTrialExperiments = []string{"fig3-5", "fig3-6", "fig3-7", "fig3-8", "fig4-4", "fig4-5", "fig4-6"}
 
 // TestSubTrialPlanTravelsOnWire asserts that a sub-trial loop's
@@ -64,43 +64,6 @@ func TestMergeShardsRejectsSubPlanMismatch(t *testing.T) {
 	}
 }
 
-// TestDecodePartialSubPlanValidation asserts the envelope checks on the
-// wire: half a plan, a plan that does not multiply out to N, and
-// hostile counts that would overflow a naive Cells*Units==N check.
-func TestDecodePartialSubPlanValidation(t *testing.T) {
-	p, err := RunShard("fig3-8", Config{Scale: 0.1, Seed: 7}, parallel.Shard{Index: 0, Count: 1})
-	if err != nil {
-		t.Fatalf("RunShard: %v", err)
-	}
-	reencode := func(mutate func(*LoopPartial)) string {
-		var buf bytes.Buffer
-		saved := *p.Loops[0]
-		mutate(p.Loops[0])
-		err := p.Encode(&buf)
-		*p.Loops[0] = saved
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		return buf.String()
-	}
-
-	if _, err := DecodePartial(strings.NewReader(reencode(func(*LoopPartial) {}))); err != nil {
-		t.Fatalf("valid sub-trial partial rejected: %v", err)
-	}
-	cases := map[string]func(*LoopPartial){
-		"cells without units": func(lp *LoopPartial) { lp.Units = 0 },
-		"units without cells": func(lp *LoopPartial) { lp.Cells = 0 },
-		"plan mismatches n":   func(lp *LoopPartial) { lp.Cells = 5 },
-		"negative plan":       func(lp *LoopPartial) { lp.Cells, lp.Units = -4, -6 },
-		"overflowing plan":    func(lp *LoopPartial) { lp.Cells, lp.Units = 1<<40, 1<<40 },
-	}
-	for name, mutate := range cases {
-		if _, err := DecodePartial(strings.NewReader(reencode(mutate))); err == nil {
-			t.Errorf("%s: malformed partial accepted", name)
-		}
-	}
-}
-
 // TestSubTrialShardsSpread is the decomposition half of the issue's
 // acceptance criterion: on a four-shard split (the four-worker fleet),
 // every restructured heavy experiment must put real work on every
@@ -150,48 +113,4 @@ func TestSubTrialShardsSpread(t *testing.T) {
 			}
 		})
 	}
-}
-
-// FuzzDecodePartial asserts the partial envelope decoder's contract on
-// arbitrary input: error or accept, never panic; accepted partials
-// satisfy the envelope invariants the merge relies on.
-func FuzzDecodePartial(f *testing.F) {
-	for _, shard := range parallel.NewShardPlan(2).Shards() {
-		p, err := RunShard("fig3-8", Config{Scale: 0.1, Seed: 7}, shard)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := p.Encode(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte(`{"version":1,"experiment":"x","shard":0,"shards":1,"loops":[]}`))
-	f.Add([]byte(`{`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePartial(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if p.Version != PartialVersion || p.Experiment == "" || p.Job < 0 {
-			t.Fatalf("accepted partial violates envelope invariants: %+v", p)
-		}
-		sh := parallel.Shard{Index: p.Shard, Count: p.Shards}
-		if !sh.Valid() {
-			t.Fatalf("accepted partial has invalid shard %v", sh)
-		}
-		for _, loop := range p.Loops {
-			lo, hi := sh.Range(loop.N)
-			if loop.Lo != lo || len(loop.Trials) != hi-lo {
-				t.Fatalf("accepted loop %q violates its shard range", loop.Label)
-			}
-			if (loop.Cells != 0) != (loop.Units != 0) {
-				t.Fatalf("accepted loop %q carries half a sub-trial plan", loop.Label)
-			}
-			if loop.Cells != 0 && loop.Cells*loop.Units != loop.N {
-				t.Fatalf("accepted loop %q plan %d×%d ≠ %d trials", loop.Label, loop.Cells, loop.Units, loop.N)
-			}
-		}
-	})
 }

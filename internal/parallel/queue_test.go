@@ -32,6 +32,49 @@ func TestShardQueueDrainsInOrder(t *testing.T) {
 	}
 }
 
+// TestShardQueueCompletedAndStates pins the per-shard views a
+// coordinator's status snapshots read: Completed flips at the first
+// completion only, and States reports queued, in-flight and completed
+// shards — a completed shard stays completed while a speculative copy
+// of it is still computing.
+func TestShardQueueCompletedAndStates(t *testing.T) {
+	q := NewShardQueue(2)
+	want := func(phases ...ShardPhase) {
+		t.Helper()
+		got := q.States()
+		if len(got) != len(phases) {
+			t.Fatalf("States() = %v, want %v", got, phases)
+		}
+		for k := range phases {
+			if got[k] != phases[k] {
+				t.Fatalf("States() = %v, want %v", got, phases)
+			}
+		}
+	}
+	want(ShardQueued, ShardQueued)
+	q.Next()
+	want(ShardInFlight, ShardQueued)
+	q.Next()
+	if sh, ok := q.Steal(); !ok || sh.Index != 0 {
+		t.Fatalf("Steal() = %v %v, want shard 0", sh, ok)
+	}
+	want(ShardInFlight, ShardInFlight)
+	if q.Completed(0) {
+		t.Fatal("shard 0 completed before any Complete")
+	}
+	q.Complete(0)
+	if !q.Completed(0) || q.Completed(1) {
+		t.Fatalf("Completed after Complete(0) = %v %v, want true false", q.Completed(0), q.Completed(1))
+	}
+	want(ShardCompleted, ShardInFlight)
+	// The stolen copy of shard 0 dies: the shard stays completed.
+	q.Requeue(0)
+	want(ShardCompleted, ShardInFlight)
+	// Shard 1's only copy dies: it is queued again.
+	q.Requeue(1)
+	want(ShardCompleted, ShardQueued)
+}
+
 func TestShardQueueClampsCount(t *testing.T) {
 	if got := NewShardQueue(0).Len(); got != 1 {
 		t.Fatalf("Len = %d, want 1", got)

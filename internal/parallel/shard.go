@@ -1,10 +1,6 @@
 package parallel
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // This file extends the engine's determinism contract across process
 // boundaries. A Shard names one contiguous slice of every trial range an
@@ -29,28 +25,6 @@ func (s Shard) Valid() bool { return s.Count >= 1 && s.Index >= 0 && s.Index < s
 
 // String renders the shard as "index/count" (e.g. "2/4").
 func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
-
-// ParseShard parses the "index/count" form emitted by String. The
-// whole input must be consumed: a mistyped "1/4x" names no shard and a
-// silently wrong slice is worse than an error.
-func ParseShard(text string) (Shard, error) {
-	index, count, ok := strings.Cut(text, "/")
-	if !ok {
-		return Shard{}, fmt.Errorf("parallel: malformed shard %q (want k/K)", text)
-	}
-	var s Shard
-	var err error
-	if s.Index, err = strconv.Atoi(index); err != nil {
-		return Shard{}, fmt.Errorf("parallel: malformed shard %q (want k/K): %v", text, err)
-	}
-	if s.Count, err = strconv.Atoi(count); err != nil {
-		return Shard{}, fmt.Errorf("parallel: malformed shard %q (want k/K): %v", text, err)
-	}
-	if !s.Valid() {
-		return Shard{}, fmt.Errorf("parallel: invalid shard %q (want 0 ≤ k < K)", text)
-	}
-	return s, nil
-}
 
 // Range returns this shard's contiguous sub-range [lo, hi) of a trial
 // range [0, n). The K ranges of a count-K plan partition [0, n) in

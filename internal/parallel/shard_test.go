@@ -64,20 +64,6 @@ func TestShardValid(t *testing.T) {
 	}
 }
 
-func TestShardParseRoundTrip(t *testing.T) {
-	for _, s := range []Shard{{0, 1}, {2, 4}, {6, 7}} {
-		got, err := ParseShard(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseShard(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	for _, bad := range []string{"", "x", "1", "3/2", "-1/2", "2/0", "a/b", "1/4x", "1/4 2", " 1/4", "1//4"} {
-		if _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) accepted malformed input", bad)
-		}
-	}
-}
-
 func TestNewShardPlanClamps(t *testing.T) {
 	if p := NewShardPlan(0); p.Count != 1 {
 		t.Errorf("NewShardPlan(0).Count = %d, want 1", p.Count)
