@@ -119,7 +119,8 @@ func (o *options) renderStatus(st *ctlplane.Status) {
 		fmt.Fprintln(o.stdout, "campaign: no campaign feed at this endpoint")
 	}
 	if sv := st.Serve; sv != nil {
-		fmt.Fprintf(o.stdout, "serve: packets=%d short_drops=%d bad_frames=%d data_frames=%d hints=%d acks=%d switches=%d admitted=%d evicted=%d rejected=%d write_errors=%d batches=%d live_clients=%d\n",
-			sv.Packets, sv.ShortDrops, sv.BadFrames, sv.DataFrames, sv.Hints, sv.Acks, sv.Switches, sv.Admitted, sv.Evicted, sv.Rejected, sv.WriteErrors, sv.Batches, sv.LiveClients)
+		fmt.Fprintf(o.stdout, "serve: packets=%d short_drops=%d bad_frames=%d data_frames=%d hints=%d acks=%d switches=%d admitted=%d evicted=%d rejected=%d write_errors=%d batches=%d live_clients=%d reader_stalls=%d reader_stall_s=%.3f\n",
+			sv.Packets, sv.ShortDrops, sv.BadFrames, sv.DataFrames, sv.Hints, sv.Acks, sv.Switches, sv.Admitted, sv.Evicted, sv.Rejected, sv.WriteErrors, sv.Batches, sv.LiveClients,
+			sv.ReaderStalls, sv.ReaderStallTime.Seconds())
 	}
 }

@@ -304,6 +304,8 @@ func writeServeMetrics(b *strings.Builder, p string, st hintserve.Stats) {
 	u("rejected_total", st.Rejected)
 	u("write_errors_total", st.WriteErrors)
 	u("batches_total", st.Batches)
+	u("reader_stalls_total", st.ReaderStalls)
+	metric(b, p+"_reader_stall_seconds_total", "counter", st.ReaderStallTime.Seconds())
 	metric(b, p+"_live_clients", "gauge", float64(st.LiveClients))
 }
 

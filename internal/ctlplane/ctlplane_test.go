@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hintserve"
 )
@@ -24,7 +25,8 @@ func get(t *testing.T, url string) (int, string) {
 // TestServeStatsEndpoint covers the hintnode shape: a serving-plane
 // feed and no campaign control, with mutation endpoints disabled.
 func TestServeStatsEndpoint(t *testing.T) {
-	stats := hintserve.Stats{Packets: 120, DataFrames: 100, BadFrames: 5, Acks: 100, Batches: 9, LiveClients: 3}
+	stats := hintserve.Stats{Packets: 120, DataFrames: 100, BadFrames: 5, Acks: 100, Batches: 9, LiveClients: 3,
+		ReaderStalls: 4, ReaderStallTime: 1500 * time.Millisecond}
 	srv, err := Start("127.0.0.1:0", Config{Service: "hintnode", ServeStats: func() hintserve.Stats { return stats }})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -56,6 +58,8 @@ func TestServeStatsEndpoint(t *testing.T) {
 		"hintnode_packets_total 120",
 		"hintnode_acks_total 100",
 		"hintnode_live_clients 3",
+		"hintnode_reader_stalls_total 4",
+		"hintnode_reader_stall_seconds_total 1.5",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)

@@ -35,3 +35,23 @@ func TestServeBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("harness must exercise data, hints and toggles: %s", st)
 	}
 }
+
+// TestRouteTakeZeroAlloc is the allocation budget of the reader→shard
+// handoff: copying a datagram into its shard's fill batch, posting the
+// wake token and the shard's swap reuse the shard's two batches and
+// touch the heap not at all.
+func TestRouteTakeZeroAlloc(t *testing.T) {
+	s := newIdleServer(t, Config{Shards: 1})
+	sh := s.shards[0]
+	pkt := dataFrame(t, 9, 0)
+	handoff := func() {
+		s.route(pkt, testSrc)
+		s.route(pkt, testSrc)
+		<-sh.wake
+		sh.take().reset()
+	}
+	handoff()
+	if allocs := testing.AllocsPerRun(200, handoff); allocs != 0 {
+		t.Fatalf("route plus take allocates %.1f times per handoff, want 0", allocs)
+	}
+}

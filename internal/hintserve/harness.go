@@ -128,21 +128,7 @@ func (h *BenchHarness) CyclePackets() int { return h.packets }
 func (h *BenchHarness) NumBatches() int { return len(h.batches) }
 
 // Stats exposes the underlying shard's counters.
-func (h *BenchHarness) Stats() Stats {
-	st := Stats{}
-	sh := h.sh
-	st.Packets = sh.stats.packets.Load()
-	st.BadFrames = sh.stats.badFrames.Load()
-	st.DataFrames = sh.stats.dataFrames.Load()
-	st.Hints = sh.stats.hints.Load()
-	st.Switches = sh.stats.switches.Load()
-	st.Admitted = sh.stats.admitted.Load()
-	st.Evicted = sh.stats.evicted.Load()
-	st.Rejected = sh.stats.rejected.Load()
-	st.Batches = sh.stats.batches.Load()
-	st.LiveClients = sh.stats.live.Load()
-	return st
-}
+func (h *BenchHarness) Stats() Stats { return h.sh.stats.snapshot() }
 
 func b2f(b bool) float64 {
 	if b {

@@ -4,27 +4,31 @@
 // client, and acknowledges data frames.
 //
 // The design replaces the single decode-everything read loop of early
-// hintnode builds with a sharded, batched pipeline:
+// hintnode builds with a sharded pipeline:
 //
 //		reader ──route by hash(src addr)──▶ shard 0 ─▶ ack burst
 //		                                   shard 1 ─▶ ack burst
 //		                                   ...
 //
-//	  - One reader goroutine pulls datagrams off the socket in bursts
-//	    (blocking for the first packet, then polling under a short
-//	    deadline) and routes each packet to a shard by the hash of its
-//	    source MAC — the one header field that partitions all per-client
-//	    state. Packets accumulate into per-shard batches; a batch is
-//	    handed over when full or when the socket goes quiet.
+//	  - One reader goroutine blocks on every read and copies each
+//	    datagram into its shard's fill batch, picking the shard by the
+//	    hash of the source MAC — the one header field that partitions all
+//	    per-client state.
+//	  - The shard pulls its work: the first packet into an empty fill
+//	    batch wakes the shard, and an idle shard swaps the fill batch for
+//	    its drained one and serves it at once. A batch is exactly what
+//	    arrived while its shard was busy, so no packet waits for a timer
+//	    or for a later packet, and batches grow only with load.
+//	  - Each shard holds two batches: the one the reader fills and the one
+//	    the shard serves. When the fill batch is full the reader blocks
+//	    until the shard takes it — the backpressure bound, and the only
+//	    place the reader waits.
 //	  - Each shard goroutine owns a preallocated client-state table
 //	    (table.go) and processes its batches with zero cross-shard
 //	    locking: decode into a reused Frame, ingest hints via the
 //	    allocation-free AppendAll walk, adapt the client's rate state,
 //	    and marshal the ACK into the batch's reusable output buffer.
 //	    ACKs are flushed as one burst of writes per batch.
-//	  - Batches recycle through a free list (a channel per shard), which
-//	    doubles as backpressure: when a shard falls behind, the reader
-//	    blocks on its free list instead of growing queues without bound.
 //
 // The per-packet serve path performs zero heap allocations in steady
 // state (proven by an allocation-budget test); all buffers, frames,
@@ -36,7 +40,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -67,20 +70,13 @@ type Config struct {
 	// IdleTimeout is how long a client may be silent before its slot can
 	// be recycled for a new address; default 30s.
 	IdleTimeout time.Duration
-	// BatchSize is the number of packets handed to a shard at once;
-	// default 64.
-	BatchSize int
-	// BatchesPerShard sizes each shard's free list; default 4. The
-	// reader stalls when a shard has no free batch — that is the
+	// BatchSize is the most packets a shard takes at once; default 64.
+	// The reader blocks while a shard's fill batch is full — that is the
 	// backpressure bound.
-	BatchesPerShard int
+	BatchSize int
 	// MaxPacket is the largest datagram accepted; default fits a frame
 	// with MaxPayload.
 	MaxPacket int
-	// PollWindow is the read deadline used to drain a burst after the
-	// first blocking read; default 100µs. Larger windows batch better,
-	// smaller windows ack partial batches sooner.
-	PollWindow time.Duration
 	// AdapterWindow is the sampling window given to each client's
 	// static-case adapter. The serving plane must keep this small: the
 	// adapter's event ring is sized from it, and at ten thousand clients
@@ -110,14 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
-	if c.BatchesPerShard <= 0 {
-		c.BatchesPerShard = 4
-	}
 	if c.MaxPacket <= 0 {
 		c.MaxPacket = minWireLen + dot11.MaxPayload
-	}
-	if c.PollWindow <= 0 {
-		c.PollWindow = 100 * time.Microsecond
 	}
 	if c.AdapterWindow <= 0 {
 		c.AdapterWindow = 50 * time.Millisecond
@@ -133,8 +123,8 @@ func (c Config) withDefaults() Config {
 
 // batch is one unit of reader→shard handoff: up to BatchSize packets
 // copied into a contiguous store, plus the output buffer their ACKs
-// marshal into. Batches are preallocated per shard and recycled via the
-// shard's free list, so the steady-state reader/shard loop never
+// marshal into. Each shard preallocates two and swaps them between the
+// reader and itself, so the steady-state reader/shard loop never
 // allocates.
 type batch struct {
 	n         int
@@ -245,16 +235,24 @@ func (ss *shardStats) snapshot() Stats {
 	}
 }
 
-// shard owns one partition of the client space. Everything below stats
-// is touched only by the shard goroutine (or, in the bench harness, by
-// the single benchmarking goroutine).
+// shard owns one partition of the client space. Apart from the handoff
+// fields and stats, everything is touched only by the shard goroutine
+// (or, in the bench harness, by the single benchmarking goroutine).
 type shard struct {
 	id   int
 	conn *net.UDPConn // nil in the conn-less bench harness
 	cfg  Config
 
-	in   chan *batch
-	free chan *batch
+	// The handoff. mu guards fill, the batch the reader copies packets
+	// into; taken is signalled each time the shard swaps it out, which a
+	// reader blocked on a full fill batch waits for. wake holds at most
+	// one token, posted when fill goes from empty to non-empty. spare is
+	// the shard's other batch, empty whenever the shard is idle.
+	mu    sync.Mutex
+	taken sync.Cond
+	fill  *batch
+	spare *batch
+	wake  chan struct{}
 
 	table   *clientTable
 	scratch []hintproto.Hint
@@ -270,14 +268,13 @@ func newShard(id int, conn *net.UDPConn, cfg Config) *shard {
 		id:      id,
 		conn:    conn,
 		cfg:     cfg,
-		in:      make(chan *batch, cfg.BatchesPerShard),
-		free:    make(chan *batch, cfg.BatchesPerShard),
+		fill:    newBatch(cfg.BatchSize, cfg.MaxPacket),
+		spare:   newBatch(cfg.BatchSize, cfg.MaxPacket),
+		wake:    make(chan struct{}, 1),
 		table:   newClientTable(cfg.ClientsPerShard, cfg.IdleTimeout),
 		scratch: make([]hintproto.Hint, 0, 16),
 	}
-	for i := 0; i < cfg.BatchesPerShard; i++ {
-		sh.free <- newBatch(cfg.BatchSize, cfg.MaxPacket)
-	}
+	sh.taken.L = &sh.mu
 	return sh
 }
 
@@ -291,20 +288,37 @@ func (sh *shard) newAdapter() *rate.HintAware {
 	return rate.NewHintAwareWith(static, rate.NewRapidSample())
 }
 
-// run is the shard goroutine: serve each incoming batch, flush its
-// ACKs, recycle it. The stats seqlock brackets serve+flush so Stats()
-// always observes whole-batch counter states (the conn-less bench
-// harness drives serveBatch directly from a single goroutine and needs
-// no bracketing).
+// run is the shard goroutine. Each wake token means packets went into
+// an empty fill batch; the shard takes everything that has arrived
+// since, serves it and flushes its ACKs. The stats seqlock brackets
+// serve+flush so Stats() always observes whole-batch counter states
+// (the conn-less bench harness drives serveBatch directly from a single
+// goroutine and needs no bracketing). A token still buffered when Serve
+// closes wake is delivered first, so every routed packet is served.
 func (sh *shard) run(start time.Time) {
-	for b := range sh.in {
+	for range sh.wake {
+		b := sh.take()
+		if b.n == 0 {
+			continue // taken by an earlier wake before this token was posted
+		}
 		sh.stats.beginBatch()
 		sh.serveBatch(b, time.Since(start))
 		sh.flush(b)
 		sh.stats.endBatch()
 		b.reset()
-		sh.free <- b
 	}
+}
+
+// take swaps the reader's fill batch for the shard's empty spare and
+// releases a reader blocked on the full batch. The returned batch is
+// the spare again once it is served and reset.
+func (sh *shard) take() *batch {
+	sh.mu.Lock()
+	b := sh.fill
+	sh.fill, sh.spare = sh.spare, b
+	sh.mu.Unlock()
+	sh.taken.Signal()
+	return b
 }
 
 // serveBatch runs the zero-alloc hot path over every packet in b,
@@ -412,19 +426,21 @@ func (sh *shard) flush(b *batch) {
 // Stats is a point-in-time snapshot of serving counters, summed over
 // all shards.
 type Stats struct {
-	Packets     uint64 // routed to a shard and decoded (or attempted)
-	ShortDrops  uint64 // datagrams below the minimum frame size
-	BadFrames   uint64 // failed decode (FCS, length)
-	DataFrames  uint64 // data frames served
-	Hints       uint64 // hints ingested (all encodings)
-	Acks        uint64 // ACKs successfully written
-	Switches    uint64 // movement-state flips observed
-	Admitted    uint64 // client admissions (including via eviction)
-	Evicted     uint64 // idle clients recycled for new addresses
-	Rejected    uint64 // packets dropped because the table was full
-	WriteErrors uint64 // ACK writes that failed
-	Batches     uint64 // batches served
-	LiveClients int64  // clients currently tracked
+	Packets         uint64        // routed to a shard and decoded (or attempted)
+	ShortDrops      uint64        // datagrams below the minimum frame size
+	BadFrames       uint64        // failed decode (FCS, length)
+	DataFrames      uint64        // data frames served
+	Hints           uint64        // hints ingested (all encodings)
+	Acks            uint64        // ACKs successfully written
+	Switches        uint64        // movement-state flips observed
+	Admitted        uint64        // client admissions (including via eviction)
+	Evicted         uint64        // idle clients recycled for new addresses
+	Rejected        uint64        // packets dropped because the table was full
+	WriteErrors     uint64        // ACK writes that failed
+	Batches         uint64        // batches served
+	LiveClients     int64         // clients currently tracked
+	ReaderStalls    uint64        // times the reader blocked on a shard's full batch
+	ReaderStallTime time.Duration // total time the reader spent so blocked
 }
 
 // Server is the sharded hint-serving plane bound to one UDP socket.
@@ -434,6 +450,8 @@ type Server struct {
 	shards    []*shard
 	start     time.Time
 	shortDrop atomic.Uint64
+	stalls    atomic.Uint64 // reader-owned, bumped only when route blocks
+	stallNs   atomic.Int64
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
@@ -473,7 +491,7 @@ func (s *Server) Serve() error {
 	}
 	err := s.readLoop()
 	for _, sh := range s.shards {
-		close(sh.in)
+		close(sh.wake)
 	}
 	s.wg.Wait()
 	if err != nil && errors.Is(err, net.ErrClosed) {
@@ -488,80 +506,51 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// readLoop pulls datagrams in bursts and routes them to shards.
+// readLoop blocks on every read and routes each datagram to its shard.
 func (s *Server) readLoop() error {
-	pending := make([]*batch, len(s.shards))
 	rbuf := make([]byte, s.cfg.MaxPacket)
-	var noDeadline time.Time
 	for {
-		// Block until the first packet of a burst arrives.
-		if err := s.conn.SetReadDeadline(noDeadline); err != nil {
-			return err
-		}
 		n, src, err := s.conn.ReadFromUDPAddrPort(rbuf)
 		if err != nil {
-			s.flushPending(pending)
 			return err
 		}
-		s.route(rbuf[:n], src, pending)
-
-		// Drain the burst under one poll deadline, armed once per burst
-		// (a deadline per read would double the syscall count of the
-		// reader): either the socket goes quiet or the window elapses,
-		// and partial batches are flushed either way, so acks are never
-		// held hostage to batch fill.
-		if err := s.conn.SetReadDeadline(time.Now().Add(s.cfg.PollWindow)); err != nil {
-			return err
-		}
-		for {
-			n, src, err = s.conn.ReadFromUDPAddrPort(rbuf)
-			if err != nil {
-				if errors.Is(err, os.ErrDeadlineExceeded) {
-					break
-				}
-				s.flushPending(pending)
-				return err
-			}
-			s.route(rbuf[:n], src, pending)
-		}
-		s.flushPending(pending)
+		s.route(rbuf[:n], src)
 	}
 }
 
-// route copies one datagram into the owning shard's pending batch,
-// handing the batch over when full. Blocks on the shard's free list
-// when the shard is saturated (backpressure).
-func (s *Server) route(pkt []byte, src netip.AddrPort, pending []*batch) {
+// route copies one datagram into its shard's fill batch. The first
+// packet into an empty batch wakes the shard; a full batch blocks the
+// reader until the shard takes it (backpressure), and only that wait
+// is counted.
+func (s *Server) route(pkt []byte, src netip.AddrPort) {
 	if len(pkt) < minWireLen {
 		s.shortDrop.Add(1)
 		return
 	}
 	var a dot11.Addr
 	copy(a[:], pkt[4:10]) // src addr offset in the wire header
-	si := int(hashAddr(a) % uint64(len(s.shards)))
-	sh := s.shards[si]
-	b := pending[si]
-	if b == nil {
-		b = <-sh.free
-		pending[si] = b
+	sh := s.shards[hashAddr(a)%uint64(len(s.shards))]
+	sh.mu.Lock()
+	if sh.fill.n == len(sh.fill.bufs) {
+		s.stalls.Add(1)
+		t0 := time.Now()
+		for sh.fill.n == len(sh.fill.bufs) {
+			sh.taken.Wait()
+		}
+		s.stallNs.Add(int64(time.Since(t0)))
 	}
+	b := sh.fill
 	slot := b.slotBuf(b.n)
 	copy(slot, pkt)
 	b.bufs[b.n] = slot[:len(pkt)]
 	b.srcs[b.n] = src
 	b.n++
-	if b.n == len(b.bufs) {
-		sh.in <- b
-		pending[si] = nil
-	}
-}
-
-// flushPending hands over all partially filled batches.
-func (s *Server) flushPending(pending []*batch) {
-	for i, b := range pending {
-		if b != nil && b.n > 0 {
-			s.shards[i].in <- b
-			pending[i] = nil
+	first := b.n == 1
+	sh.mu.Unlock()
+	if first {
+		select {
+		case sh.wake <- struct{}{}:
+		default: // a pending token already covers this packet
 		}
 	}
 }
@@ -573,7 +562,11 @@ func (s *Server) flushPending(pending []*batch) {
 // (Acks ≤ Packets, DataFrames + BadFrames ≤ Packets) hold on every
 // snapshot.
 func (s *Server) Stats() Stats {
-	st := Stats{ShortDrops: s.shortDrop.Load()}
+	st := Stats{
+		ShortDrops:      s.shortDrop.Load(),
+		ReaderStalls:    s.stalls.Load(),
+		ReaderStallTime: time.Duration(s.stallNs.Load()),
+	}
 	for _, sh := range s.shards {
 		p := sh.stats.snapshot()
 		st.Packets += p.Packets
@@ -594,8 +587,9 @@ func (s *Server) Stats() Stats {
 
 // String renders the snapshot for operator logs.
 func (st Stats) String() string {
-	return fmt.Sprintf("packets=%d data=%d hints=%d acks=%d switches=%d live=%d admitted=%d evicted=%d rejected=%d bad=%d short=%d werr=%d batches=%d",
+	return fmt.Sprintf("packets=%d data=%d hints=%d acks=%d switches=%d live=%d admitted=%d evicted=%d rejected=%d bad=%d short=%d werr=%d batches=%d stalls=%d stall=%s",
 		st.Packets, st.DataFrames, st.Hints, st.Acks, st.Switches,
 		st.LiveClients, st.Admitted, st.Evicted, st.Rejected,
-		st.BadFrames, st.ShortDrops, st.WriteErrors, st.Batches)
+		st.BadFrames, st.ShortDrops, st.WriteErrors, st.Batches,
+		st.ReaderStalls, st.ReaderStallTime)
 }

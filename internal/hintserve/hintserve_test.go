@@ -2,6 +2,8 @@ package hintserve
 
 import (
 	"net"
+	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,6 +34,187 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 		}
 	})
 	return s, s.LocalAddr().String()
+}
+
+// newIdleServer builds a server whose shard goroutines are not running,
+// so a test can drive the reader's route and a shard's take by hand.
+func newIdleServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(conn, cfg)
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// dataFrame returns the wire bytes of a data frame from the given
+// client.
+func dataFrame(t *testing.T, client int, seq uint16) []byte {
+	t.Helper()
+	f := &dot11.Frame{Type: dot11.TypeData, Seq: seq, Src: dot11.AddrFromInt(client), Dst: apAddr, Payload: []byte("handoff")}
+	b, err := f.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+var testSrc = netip.MustParseAddrPort("127.0.0.1:9")
+
+// TestLoneFrameNotHeldByTimer sends lone data frames, one in flight at a
+// time: each must be served as soon as the reader has it, not when a
+// timer fires or a later packet arrives. The bound is the 100 µs read
+// deadline a poll-draining reader holds every burst for, which such a
+// reader can never beat.
+func TestLoneFrameNotHeldByTimer(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 2})
+	raddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 256)
+	var ack dot11.Frame
+	best := time.Hour
+	for i := 0; i < 50; i++ {
+		wire := dataFrame(t, 7, uint16(i))
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		sent := time.Now()
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		n, err := conn.Read(buf)
+		rtt := time.Since(sent)
+		if err != nil {
+			t.Fatalf("frame %d: no ACK: %v", i, err)
+		}
+		if err := dot11.UnmarshalInto(&ack, buf[:n]); err != nil || ack.Type != dot11.TypeAck || ack.Seq != uint16(i) {
+			t.Fatalf("frame %d: reply is not its ACK (err %v, %+v)", i, err, ack)
+		}
+		best = min(best, rtt)
+	}
+	t.Logf("fastest send→ACK %s", best)
+	if best >= 100*time.Microsecond {
+		t.Fatalf("fastest send→ACK of 50 lone frames took %s, want < 100µs", best)
+	}
+}
+
+// TestRouteBlocksOnFullBatch checks the backpressure bound with the
+// shard not taking batches: route fills one batch of BatchSize, then
+// blocks — counted as a reader stall — until the shard takes it, and
+// the shard's two batches are the only ones that ever carry packets.
+func TestRouteBlocksOnFullBatch(t *testing.T) {
+	const size = 16
+	s := newIdleServer(t, Config{Shards: 1, BatchSize: size})
+	sh := s.shards[0]
+	pkt := dataFrame(t, 9, 0)
+	seen := map[*batch]bool{sh.fill: true, sh.spare: true}
+
+	for i := 0; i < size; i++ {
+		s.route(pkt, testSrc)
+	}
+	select {
+	case <-sh.wake:
+	default:
+		t.Fatal("the first packet into an empty batch posted no wake token")
+	}
+	if st := s.Stats(); st.ReaderStalls != 0 || st.ReaderStallTime != 0 {
+		t.Fatalf("reader stalled before the batch was full: %s", st)
+	}
+
+	routed := make(chan struct{})
+	go func() {
+		s.route(pkt, testSrc)
+		close(routed)
+	}()
+	for s.stalls.Load() == 0 { // the reader counts a stall as it starts waiting
+		select {
+		case <-routed:
+			t.Fatal("route returned without stalling on its shard's full batch")
+		default:
+			runtime.Gosched()
+		}
+	}
+	select {
+	case <-routed:
+		t.Fatal("route returned with its shard's batch full")
+	default:
+	}
+	full := sh.take()
+	if full.n != size {
+		t.Fatalf("shard took %d packets, want a full batch of %d", full.n, size)
+	}
+	select {
+	case <-routed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("route still blocked after the shard took the full batch")
+	}
+	sh.mu.Lock()
+	n := sh.fill.n
+	sh.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("blocked packet not in the fresh fill batch: n=%d", n)
+	}
+	st := s.Stats()
+	if st.ReaderStalls != 1 || st.ReaderStallTime <= 0 {
+		t.Fatalf("stall not recorded once with its wait time: %s", st)
+	}
+
+	// Many more fill/take rounds, each taken batch served and reset as
+	// the shard goroutine would: still only the shard's two batches.
+	full.reset()
+	sh.take().reset()
+	for round := 0; round < 20; round++ {
+		for i := 0; i < size; i++ {
+			s.route(pkt, testSrc)
+		}
+		b := sh.take()
+		seen[b] = true
+		b.reset()
+	}
+	seen[sh.fill], seen[sh.spare] = true, true
+	if len(seen) != 2 {
+		t.Fatalf("shard handed out %d distinct batches, want 2", len(seen))
+	}
+}
+
+// TestCloseServesRoutedPackets routes packets into idle shards and then
+// closes the server before its shards ever run: Serve must still serve
+// and count every routed packet, in one last batch per shard that holds
+// any.
+func TestCloseServesRoutedPackets(t *testing.T) {
+	s := newIdleServer(t, Config{Shards: 2, BatchSize: 16})
+	const n = 12
+	shards := map[uint64]bool{}
+	for i := 0; i < n; i++ {
+		c := 100 + i
+		s.route(dataFrame(t, c, uint16(i)), testSrc)
+		shards[hashAddr(dot11.AddrFromInt(c))%2] = true
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(); err != nil {
+		t.Fatalf("Serve after Close = %v, want nil", err)
+	}
+	st := s.Stats()
+	if st.Packets != n || st.DataFrames != n {
+		t.Fatalf("served %d packets (%d data) of %d routed: %s", st.Packets, st.DataFrames, n, st)
+	}
+	if st.Batches != uint64(len(shards)) {
+		t.Fatalf("served %d batches, want one per shard holding packets (%d)", st.Batches, len(shards))
+	}
+	if st.Acks+st.WriteErrors != n {
+		t.Fatalf("ACK attempts %d+%d, want %d: %s", st.Acks, st.WriteErrors, n, st)
+	}
 }
 
 // TestTableAdmitEvictReject exercises the bounded client table's full

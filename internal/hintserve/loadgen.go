@@ -33,12 +33,29 @@ import (
 // ACKs are matched to departures through the wire itself: the serving
 // plane acks to the frame's source address, and dot11.AddrFromInt
 // embeds the client index in the address bytes, so the sender recovers
-// the client from the ACK's destination and the stamp from a small
-// per-client sequence ring.
+// the client from the ACK's destination and the stamp from a
+// per-client sequence ring (see stampRingSize).
 
-// stampRing is the per-client in-flight departure ring; a power of two
-// at least as large as any plausible per-client in-flight count.
-const stampRing = 32
+// stamp is one departure in a client's ring.
+type stamp struct {
+	at  int64 // ns since run start
+	seq uint16
+	ok  bool
+}
+
+// stampRingSize returns the per-client ring length: the smallest power
+// of two that holds every data frame one client can have in flight, so
+// no stamp is overwritten before its ACK can arrive. A sender keeps at
+// most window frames in flight and they may all be one client's (ACKs
+// from different shards overtake each other), but a client never has
+// more in flight than it sends.
+func stampRingSize(window int, perClient int64) int {
+	n := 1
+	for int64(n) < min(int64(window), perClient) {
+		n <<= 1
+	}
+	return n
+}
 
 // LoadConfig describes one load run. Zero values default sensibly.
 type LoadConfig struct {
@@ -56,7 +73,8 @@ type LoadConfig struct {
 	// min(8, GOMAXPROCS).
 	Senders int
 	// Window is the per-sender burst size (and in-flight bound);
-	// default 64.
+	// default 64, at most 65536 (a client's 16-bit sequence number must
+	// tell its frames in flight apart).
 	Window int
 	// MovingRatio is the fraction of clients that start moving;
 	// default 0.5.
@@ -157,9 +175,7 @@ type lgClient struct {
 	sinceTog int
 	heading  float64
 	speed    float64
-	stampSeq [stampRing]uint16
-	stampOK  [stampRing]bool
-	stampAt  [stampRing]int64 // ns since run start
+	stamps   []stamp // indexed by seq modulo the ring size
 }
 
 // senderResult is one sender goroutine's tally.
@@ -174,6 +190,9 @@ type senderResult struct {
 // the error when every sender failed.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Window > 1<<16 {
+		return nil, fmt.Errorf("hintserve: window %d exceeds the 65536 frames a 16-bit sequence number tells apart", cfg.Window)
+	}
 	raddr, err := net.ResolveUDPAddr("udp", cfg.Target)
 	if err != nil {
 		return nil, fmt.Errorf("hintserve: bad target %q: %w", cfg.Target, err)
@@ -268,8 +287,11 @@ func runSender(cfg LoadConfig, raddr *net.UDPAddr, id, lo, hi int, quota int64, 
 
 	rng := parallel.NewRNG(cfg.Seed + int64(id)*7919)
 	clients := make([]lgClient, hi-lo)
+	ring := stampRingSize(cfg.Window, (quota+int64(len(clients))-1)/int64(len(clients)))
+	stamps := make([]stamp, len(clients)*ring)
 	for i := range clients {
 		c := &clients[i]
+		c.stamps = stamps[i*ring : (i+1)*ring : (i+1)*ring]
 		// Client ids start at 2: the AP is 1.
 		c.addr = dot11.AddrFromInt(2 + cfg.FirstClient + lo + i)
 		c.moving = rng.Float64() < cfg.MovingRatio
@@ -285,6 +307,29 @@ func runSender(cfg LoadConfig, raddr *net.UDPAddr, id, lo, hi int, quota int64, 
 	rxbuf := make([]byte, 256)
 	hs := make([]hintproto.Hint, 0, 3)
 	var rxFrame dot11.Frame
+
+	// ack matches one received datagram to the departure it
+	// acknowledges and records the latency; it reports whether the
+	// datagram acked a frame still in the ring.
+	ack := func(pkt []byte) bool {
+		at := int64(time.Since(start))
+		if dot11.UnmarshalInto(&rxFrame, pkt) != nil || rxFrame.Type != dot11.TypeAck {
+			return false
+		}
+		// Recover the client index from the ACK's destination.
+		idx := int(binary.BigEndian.Uint32(rxFrame.Dst[2:6])) - 2 - cfg.FirstClient - lo
+		if idx < 0 || idx >= len(clients) {
+			return false
+		}
+		st := &clients[idx].stamps[int(rxFrame.Seq)&(ring-1)]
+		if !st.ok || st.seq != rxFrame.Seq {
+			return false
+		}
+		st.ok = false
+		res.acked++
+		res.latencies = append(res.latencies, at-st.at)
+		return true
+	}
 
 	deadline := start.Add(cfg.Timeout)
 	var sent int64
@@ -339,17 +384,14 @@ func runSender(cfg LoadConfig, raddr *net.UDPAddr, id, lo, hi int, quota int64, 
 			if corrupt {
 				wire[len(wire)-1] ^= 0xff // break the FCS
 			} else {
-				slot := c.seq & (stampRing - 1)
-				c.stampSeq[slot] = c.seq
-				c.stampOK[slot] = true
-				c.stampAt[slot] = int64(time.Since(start))
+				c.stamps[int(c.seq)&(ring-1)] = stamp{at: int64(time.Since(start)), seq: c.seq, ok: true}
 			}
 			if _, err := conn.Write(wire); err != nil {
 				// Transient send failure: the frame is lost, not fatal.
 				if corrupt {
 					res.corruptSent++ // still counted as offered load
 				} else {
-					c.stampOK[c.seq&(stampRing-1)] = false
+					c.stamps[int(c.seq)&(ring-1)].ok = false
 				}
 				continue
 			}
@@ -388,8 +430,8 @@ func runSender(cfg LoadConfig, raddr *net.UDPAddr, id, lo, hi int, quota int64, 
 		// Drain ACKs until the window has room for the next burst or the
 		// drain deadline expires. On expiry the remaining outstanding
 		// frames are written off as lost — loss must not stall the run —
-		// but their stamps stay matchable, so stragglers that arrive in a
-		// later drain still count.
+		// but their stamps stay matchable until the ring wraps, so
+		// stragglers that arrive in a later drain still count.
 		if outstanding < int64(cfg.Window) && sent < quota {
 			continue
 		}
@@ -405,30 +447,12 @@ func runSender(cfg LoadConfig, raddr *net.UDPAddr, id, lo, hi int, quota int64, 
 				}
 				break
 			}
-			at := int64(time.Since(start))
-			if err := dot11.UnmarshalInto(&rxFrame, rxbuf[:n]); err != nil {
-				continue
+			if ack(rxbuf[:n]) {
+				drained = true
+				if outstanding > 0 {
+					outstanding--
+				}
 			}
-			if rxFrame.Type != dot11.TypeAck {
-				continue
-			}
-			// Recover the client index from the ACK's destination.
-			idx := int(binary.BigEndian.Uint32(rxFrame.Dst[2:6])) - 2 - cfg.FirstClient - lo
-			if idx < 0 || idx >= len(clients) {
-				continue
-			}
-			c := &clients[idx]
-			slot := rxFrame.Seq & (stampRing - 1)
-			if !c.stampOK[slot] || c.stampSeq[slot] != rxFrame.Seq {
-				continue
-			}
-			c.stampOK[slot] = false
-			res.acked++
-			drained = true
-			if outstanding > 0 {
-				outstanding--
-			}
-			res.latencies = append(res.latencies, at-c.stampAt[slot])
 		}
 	}
 
@@ -439,25 +463,7 @@ func runSender(cfg LoadConfig, raddr *net.UDPAddr, id, lo, hi int, quota int64, 
 		if err != nil {
 			break
 		}
-		at := int64(time.Since(start))
-		if err := dot11.UnmarshalInto(&rxFrame, rxbuf[:n]); err != nil {
-			continue
-		}
-		if rxFrame.Type != dot11.TypeAck {
-			continue
-		}
-		idx := int(binary.BigEndian.Uint32(rxFrame.Dst[2:6])) - 2 - cfg.FirstClient - lo
-		if idx < 0 || idx >= len(clients) {
-			continue
-		}
-		c := &clients[idx]
-		slot := rxFrame.Seq & (stampRing - 1)
-		if !c.stampOK[slot] || c.stampSeq[slot] != rxFrame.Seq {
-			continue
-		}
-		c.stampOK[slot] = false
-		res.acked++
-		res.latencies = append(res.latencies, at-c.stampAt[slot])
+		ack(rxbuf[:n])
 	}
 	return res
 }

@@ -115,3 +115,40 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 	}
 	t.Logf("%d scrapes, final: %s", scrapes, prev)
 }
+
+// TestRunLoadMatchesEveryAck runs senders whose window is wider than 32
+// frames per client against a plane that serves every frame: each data
+// frame's ACK must be matched to its departure. A stamp ring smaller
+// than a client's frames in flight overwrites stamps before their ACKs
+// arrive; those ACKs are dropped as unmatched, the window shrinks for
+// the rest of the run, and the run ends on a DrainWait stall.
+func TestRunLoadMatchesEveryAck(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 2})
+	cases := []struct {
+		clients, window int
+		packets         int64
+	}{
+		{clients: 2, window: 128, packets: 4000},
+		{clients: 1, window: 64, packets: 2000},
+		{clients: 50, window: 64, packets: 2000},
+	}
+	for _, c := range cases {
+		before := srv.Stats()
+		rep, err := RunLoad(LoadConfig{
+			Target:  addr,
+			Clients: c.clients,
+			Senders: 1,
+			Window:  c.window,
+			Packets: c.packets,
+			Timeout: 30 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := srv.Stats().Acks - before.Acks
+		if rep.Acked != rep.DataSent || served != uint64(rep.DataSent) {
+			t.Errorf("clients=%d window=%d: matched %d ACKs of %d data frames, plane acked %d: %s",
+				c.clients, c.window, rep.Acked, rep.DataSent, served, rep)
+		}
+	}
+}
