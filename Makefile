@@ -54,9 +54,9 @@ bench-check:
 	$(GO) run ./cmd/benchjson -check BENCH_scenario.json -out BENCH_scenario_current.json \
 		-microbench 'BenchmarkScenarioIdle|BenchmarkTimerWheel' -microtime 200ms
 
-# Cross-process shard parity smoke: run one experiment through
-# cmd/hintshard as a 3-shard coordinator (spawning real worker
-# processes and merging their serialized partials) and diff the report
+# Shard parity smoke: run one experiment through cmd/hintshard as a
+# 3-shard coordinator on its in-process fleet (workers streaming their
+# partials through the framed wire protocol) and diff the report
 # against the single-process hintbench output. Any byte of drift fails.
 # The registry-wide version of this check (every experiment, several
 # shard counts, in-process) is TestReportsIdenticalAcrossShards.
@@ -78,8 +78,8 @@ shard-smoke:
 # speculative race). The addr-file wait loop fails fast with the
 # coordinator's stderr if the coordinator dies before publishing its
 # address. The registry-wide version of this check (every experiment ×
-# {inproc, subprocess, tcp} × several worker counts) is
-# internal/cluster's determinism tests.
+# both transports × several worker counts) is internal/cluster's
+# determinism tests.
 cluster-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard || exit 1; \
@@ -331,9 +331,9 @@ cover:
 	done; \
 	exit $$status
 
-# Short fuzz pass over the stats codecs, the cluster wire layer
-# (framing, message decoding, the session handshake), the hint protocol
-# parsers, and the fate-trace codec (each target runs alone, as
+# Short fuzz pass over the nine fuzz targets: the stats codecs, the
+# cluster wire layer (framing, message decoding, the session
+# handshake), and the hint protocol parsers (each target runs alone, as
 # `go test -fuzz` requires). CI runs the same targets at a reduced FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
@@ -346,7 +346,6 @@ fuzz:
 	$(GO) test -fuzz FuzzHandshake -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz FuzzParseTrailer -fuzztime $(FUZZTIME) ./internal/hintproto/
 	$(GO) test -fuzz FuzzParseHintFrame -fuzztime $(FUZZTIME) ./internal/hintproto/
-	$(GO) test -fuzz FuzzFateTraceCodec -fuzztime $(FUZZTIME) ./internal/trace/
 
 # Hint-serving-plane smoke over real UDP: boot a hintnode AP, throw a
 # hintload herd at it, kill the herd mid-run (its ACKs now hit dead

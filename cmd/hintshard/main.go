@@ -1,7 +1,7 @@
 // Command hintshard runs one experiment — or a whole campaign of them —
 // sharded across workers and merges the partial results into reports
 // that are bit-identical to the single-process hintbench output — for
-// any shard count, worker count, transport, assignment order, or worker
+// any shard count, worker count, fleet, assignment order, or worker
 // failure. It is a thin front end over the work-stealing cluster
 // runtime in internal/cluster; the job spec format lives in
 // internal/campaign.
@@ -24,11 +24,11 @@
 //	sample of shards (fraction F of each job, at least one) on a
 //	second worker and byte-compares the partials: any divergence is a
 //	hard fault. -report-dir also writes each report to jobN-<id>.out
-//	for scripted diffing. The -transport flag picks where the workers
-//	live: "subprocess" (default; -procs worker processes of this
-//	binary on this machine), "inproc" (-procs goroutine workers in
-//	this process), or "tcp" (workers connect to -listen over the
-//	network).
+//	for scripted diffing. Without -listen the fleet is -procs
+//	goroutine workers in this process (default: one per shard of the
+//	widest job, at most one per CPU); with -listen it is every worker
+//	process that connects over TCP (-connect), from this machine or
+//	any other.
 //
 //	    hintshard -run fig3-5 -shards 8 [-procs 3] [-scale S] [-seed N]
 //	    hintshard -run fig3-5 -shards 8 -listen :7432 [-addr-file F]
@@ -52,30 +52,22 @@
 //
 //	    hintshard -connect host:7432 [-workers W]
 //
-//	stdio worker (internal): speak the cluster frame protocol on
-//	stdin/stdout; the subprocess transport spawns this.
-//
-//	    hintshard -serve-stdio
-//
 // The determinism contract (internal/parallel/README.md) extends across
 // process and machine boundaries: per-trial seeds derive from the root
 // seed by global trial index, shards own contiguous trial ranges, and
 // the coordinator absorbs per-trial results in global trial order — so
-// -shards, -procs, and -transport, like -workers, only change how fast
-// the report appears. -worker-die-after and -die-after-assign inject
-// worker death for the failure-path smoke tests.
+// -shards, -procs, and -listen, like -workers, only change how fast the
+// report appears. -die-after-assign injects worker death for the
+// failure-path smoke tests.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -99,17 +91,14 @@ type options struct {
 	workers   int
 	shards    int
 	procs     int
-	transport string
 	listen    string
 	addrFile  string
 	connect   string
-	serveStd  bool
 	list      bool
 	retries   int
 	noSteal   bool
 	verbose   bool
 	dieAfter  int
-	workerDie int
 	camp      bool
 	verify    float64
 	reportDir string
@@ -141,20 +130,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.run, "run", "", "coordinator: the one experiment `id` of a -shards run (see 'hintshard -list')")
 	fs.Float64Var(&o.scale, "scale", 1.0, "experiment scale (1.0 = paper scale, smaller = faster)")
 	fs.Int64Var(&o.seed, "seed", 42, "random seed for deterministic runs")
-	fs.IntVar(&o.workers, "workers", 0, "goroutines per worker for one shard's trials (0 = one per CPU, split across -procs for local transports)")
+	fs.IntVar(&o.workers, "workers", 0, "goroutines per worker for one shard's trials (0 = one per CPU, split across -procs for the in-process fleet)")
 	fs.IntVar(&o.shards, "shards", 0, "coordinator: split the trial space into `K` queued shards")
-	fs.IntVar(&o.procs, "procs", 0, "coordinator: number of local workers (subprocess/inproc transports; default K)")
-	fs.StringVar(&o.transport, "transport", "", "coordinator transport: subprocess, inproc, or tcp (default subprocess; tcp implied by -listen)")
-	fs.StringVar(&o.listen, "listen", "", "coordinator: accept TCP workers on `addr` (e.g. :7432, 127.0.0.1:0)")
+	fs.IntVar(&o.procs, "procs", 0, "coordinator: number of in-process workers when there is no -listen (default min(K, CPUs))")
+	fs.StringVar(&o.listen, "listen", "", "coordinator: accept TCP workers on `addr` (e.g. :7432, 127.0.0.1:0) instead of running an in-process fleet")
 	fs.StringVar(&o.addrFile, "addr-file", "", "coordinator: write the resolved -listen address to `file` (for scripts using port 0)")
 	fs.StringVar(&o.connect, "connect", "", "worker: pull shards from the coordinator at `addr` until stopped")
-	fs.BoolVar(&o.serveStd, "serve-stdio", false, "worker: speak the cluster protocol on stdin/stdout (spawned by the subprocess transport)")
 	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
 	fs.IntVar(&o.retries, "retries", 3, "coordinator: per-shard failure budget before aborting")
 	fs.BoolVar(&o.noSteal, "no-steal", false, "coordinator: disable speculative re-dispatch of in-flight shards")
 	fs.BoolVar(&o.verbose, "v", false, "log dispatches, steals, and worker deaths to stderr")
 	fs.IntVar(&o.dieAfter, "die-after-assign", 0, "worker fault injection: exit abruptly on receiving the `n`-th assignment")
-	fs.IntVar(&o.workerDie, "worker-die-after", 0, "coordinator fault injection (subprocess transport): pass -die-after-assign `n` to the first spawned worker")
 	fs.BoolVar(&o.camp, "campaign", false, "run a campaign: queue the job specs (or @file) given as arguments through one fleet")
 	fs.Float64Var(&o.verify, "verify", 0, "coordinator: re-execute this `fraction` of each job's shards on a second worker and byte-compare (0 = off)")
 	fs.StringVar(&o.reportDir, "report-dir", "", "coordinator: also write each report to `dir`/jobN-<id>.out for scripted diffing")
@@ -200,8 +186,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch mode {
 	case "connect":
 		return o.tcpWorker()
-	case "serve-stdio":
-		return o.stdioWorker()
 	case "fleet":
 		return o.runFleet(fs.Args())
 	case "status":
@@ -227,7 +211,7 @@ func usage(w io.Writer) {
 // the operator did not ask for.
 func (o *options) mode(explicit map[string]bool) (string, error) {
 	rejectCoordFlags := func(mode string) error {
-		for _, f := range []string{"transport", "procs", "addr-file", "retries", "no-steal", "worker-die-after", "heartbeat", "heartbeat-misses", "status-addr", "status-addr-file", "verify", "report-dir"} {
+		for _, f := range []string{"procs", "addr-file", "retries", "no-steal", "heartbeat", "heartbeat-misses", "status-addr", "status-addr-file", "verify", "report-dir"} {
 			if explicit[f] {
 				return fmt.Errorf("-%s is a coordinator flag; it does not apply to %s", f, mode)
 			}
@@ -271,9 +255,6 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 	if o.connect != "" {
 		modes = append(modes, "-connect")
 	}
-	if o.serveStd {
-		modes = append(modes, "-serve-stdio")
-	}
 	if o.statQuery != "" {
 		modes = append(modes, "-status")
 	}
@@ -295,21 +276,6 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 			return "", err
 		}
 		return "connect", nil
-	case "-serve-stdio":
-		if o.run != "" || o.listen != "" {
-			return "", fmt.Errorf("-serve-stdio workers take their assignments from the coordinator (remove -run/-listen)")
-		}
-		if err := rejectCoordFlags("a -serve-stdio worker"); err != nil {
-			return "", err
-		}
-		// A stdio worker's conn belongs to the coordinator that spawned
-		// it; chaos is injected there, not here.
-		for _, f := range []string{"chaos-seed", "chaos-plan"} {
-			if explicit[f] {
-				return "", fmt.Errorf("-%s on a -serve-stdio worker: inject chaos at the coordinator that spawns it", f)
-			}
-		}
-		return "serve-stdio", nil
 	case "-status":
 		if o.run != "" || o.listen != "" {
 			return "", fmt.Errorf("-status is a read/mutate client for a running coordinator (remove -run/-listen)")
@@ -346,55 +312,23 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 			return "", fmt.Errorf("coordinator needs -run <experiment-id>")
 		}
 		if o.dieAfter > 0 {
-			return "", fmt.Errorf("-die-after-assign is a worker flag; coordinators inject faults with -worker-die-after")
+			return "", fmt.Errorf("-die-after-assign is a worker flag; give it to a -connect worker")
 		}
 		// Negated form so NaN (for which every comparison is false) is
 		// rejected too.
 		if !(o.verify >= 0 && o.verify <= 1) {
 			return "", fmt.Errorf("-verify %g outside [0, 1]", o.verify)
 		}
-		if err := o.validateTransport(); err != nil {
-			return "", err
+		switch {
+		case o.listen != "" && o.procs > 0:
+			return "", fmt.Errorf("-procs sizes the in-process fleet; TCP workers join via -connect")
+		case o.listen == "" && o.addrFile != "":
+			return "", fmt.Errorf("-addr-file publishes a -listen address; it needs -listen")
+		case o.procs > cluster.MaxShards:
+			return "", fmt.Errorf("-procs %d is above the fleet cap of %d workers", o.procs, cluster.MaxShards)
 		}
 		return "fleet", nil
 	}
-}
-
-// validateTransport resolves and checks the fleet run's transport
-// selection (-transport defaults to subprocess, or tcp when -listen is
-// given).
-func (o *options) validateTransport() error {
-	tr := o.transport
-	if tr == "" {
-		if o.listen != "" {
-			tr = "tcp"
-		} else {
-			tr = "subprocess"
-		}
-		o.transport = tr
-	}
-	switch tr {
-	case "tcp":
-		if o.listen == "" {
-			return fmt.Errorf("-transport tcp needs -listen addr")
-		}
-		if o.procs > 0 {
-			return fmt.Errorf("-procs applies to local transports; TCP workers join via -connect")
-		}
-	case "subprocess", "inproc":
-		if o.listen != "" {
-			return fmt.Errorf("-listen implies -transport tcp, not %s", tr)
-		}
-		if o.addrFile != "" {
-			return fmt.Errorf("-addr-file publishes a -listen address; it needs -transport tcp")
-		}
-	default:
-		return fmt.Errorf("unknown -transport %q (want subprocess, inproc, or tcp)", tr)
-	}
-	if o.workerDie > 0 && tr != "subprocess" {
-		return fmt.Errorf("-worker-die-after needs -transport subprocess (TCP workers inject their own faults with -die-after-assign)")
-	}
-	return nil
 }
 
 func (o *options) logf() func(string, ...any) {
@@ -445,25 +379,15 @@ func (o *options) tcpWorker() int {
 	return 0
 }
 
-// stdioWorker serves the protocol on stdin/stdout for the subprocess
-// transport.
-func (o *options) stdioWorker() int {
-	if err := cluster.ServeStdio(o.serveOpts(fmt.Sprintf("proc/%d", os.Getpid()))); err != nil {
-		fmt.Fprintln(o.stderr, err)
-		return 1
-	}
-	return 0
-}
-
 // perWorkerFanout picks how many goroutines each worker fans a shard's
-// trials across. Local transports run every worker on this machine at
-// once; the "one goroutine per CPU" default would oversubscribe it
+// trials across. The in-process fleet runs every worker on this machine
+// at once; the "one goroutine per CPU" default would oversubscribe it
 // procs-fold, so split the CPUs instead. An explicit -workers value
 // passes through untouched. TCP workers are (usually) other machines:
 // the default leaves the fan-out to each worker.
 func (o *options) perWorkerFanout(procs int) int {
 	perWorker := o.workers
-	if perWorker == 0 && o.transport != "tcp" {
+	if perWorker == 0 && o.listen == "" {
 		perWorker = runtime.NumCPU() / procs
 		if perWorker < 1 {
 			perWorker = 1
@@ -472,50 +396,28 @@ func (o *options) perWorkerFanout(procs int) int {
 	return perWorker
 }
 
-// buildTransport constructs the validated transport selection with
-// procs local workers (ignored by tcp), each fanning shards across
-// perWorker goroutines.
-func (o *options) buildTransport(procs, perWorker int) (cluster.Transport, error) {
-	switch o.transport {
-	case "inproc":
+// buildTransport constructs the fleet: a TCP listener when -listen is
+// given, otherwise procs in-process workers.
+func (o *options) buildTransport(procs int) (cluster.Transport, error) {
+	if o.listen == "" {
 		return cluster.NewInProcess(procs, func(i int, c cluster.Conn) {
-			so := o.serveOpts(fmt.Sprintf("inproc-%d", i))
-			cluster.Serve(c, so)
+			cluster.Serve(c, o.serveOpts(fmt.Sprintf("inproc-%d", i)))
 		}), nil
-	case "subprocess":
-		self, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("locating own binary: %v", err)
-		}
-		return cluster.NewSubprocess(procs, func(i int) *exec.Cmd {
-			args := []string{"-serve-stdio", "-workers", strconv.Itoa(perWorker)}
-			if o.token != "" {
-				args = append(args, "-token", o.token)
-			}
-			if o.workerDie > 0 && i == 0 {
-				args = append(args, "-die-after-assign", strconv.Itoa(o.workerDie))
-			}
-			cmd := exec.Command(self, args...)
-			cmd.Stderr = o.stderr
-			return cmd
-		}), nil
-	case "tcp":
-		lt, err := cluster.ListenTCP(o.listen)
-		if err != nil {
+	}
+	lt, err := cluster.ListenTCP(o.listen)
+	if err != nil {
+		return nil, err
+	}
+	if o.addrFile != "" {
+		// Atomic write: workers poll for this file, and a torn read of
+		// half an address made them dial garbage.
+		if err := atomicfile.WriteFile(o.addrFile, []byte(lt.Addr()), 0o644); err != nil {
+			lt.Close()
 			return nil, err
 		}
-		if o.addrFile != "" {
-			// Atomic write: workers poll for this file, and a torn read
-			// of half an address made them dial garbage.
-			if err := atomicfile.WriteFile(o.addrFile, []byte(lt.Addr()), 0o644); err != nil {
-				lt.Close()
-				return nil, err
-			}
-		}
-		fmt.Fprintf(o.stderr, "hintshard: listening on %s\n", lt.Addr())
-		return lt, nil
 	}
-	return nil, fmt.Errorf("unknown transport %q", o.transport)
+	fmt.Fprintf(o.stderr, "hintshard: listening on %s\n", lt.Addr())
+	return lt, nil
 }
 
 // withChaos wraps the coordinator transport with the -chaos-plan fault
@@ -572,15 +474,18 @@ func (o *options) runFleet(specs []string) int {
 		jobs = append(jobs, j)
 	}
 
-	// Default local fleet size: enough workers to saturate the widest
-	// job.
+	// Default in-process fleet size: enough workers to saturate the
+	// widest job, but no more than there are CPUs. Workers past the CPU
+	// count each fan out to one goroutine, and once the queue drains
+	// their speculative copies of in-flight shards compete with the
+	// originals for the same CPUs. On 2 CPUs, 3, 8 and 16 workers ran
+	// fig3-7 slower than 2 did, and 4 workers no faster.
 	procs := o.procs
 	if procs <= 0 {
 		for _, j := range jobs {
-			if j.Shards > procs {
-				procs = j.Shards
-			}
+			procs = max(procs, j.Shards)
 		}
+		procs = min(procs, runtime.NumCPU())
 	}
 	perWorker := o.perWorkerFanout(procs)
 	if o.reportDir != "" {
@@ -589,7 +494,7 @@ func (o *options) runFleet(specs []string) int {
 			return 1
 		}
 	}
-	t, err := o.buildTransport(procs, perWorker)
+	t, err := o.buildTransport(procs)
 	if err != nil {
 		fmt.Fprintln(o.stderr, err)
 		return 1
@@ -657,10 +562,6 @@ func (o *options) runFleet(specs []string) int {
 	})
 	if err != nil {
 		fmt.Fprintln(o.stderr, err)
-		var we *cluster.WorkerExitError
-		if errors.As(err, &we) {
-			return we.Code
-		}
 		return 1
 	}
 	if o.verbose {

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,7 +18,9 @@ import (
 // mode selectors are rejected with a usage message and exit code 2,
 // never silently prioritized, and each mode insists on the flags it
 // needs. Rows naming -merge, -shard, -o or -no-warm pin that the
-// invocations of the deleted one-shot modes are now usage errors.
+// invocations of the deleted one-shot modes are now usage errors, and
+// rows naming -serve-stdio, -transport or -worker-die-after do the same
+// for the deleted subprocess fleet.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -26,25 +31,27 @@ func TestFlagValidation(t *testing.T) {
 		{"merge and shard", []string{"-merge", "-shard", "0/2", "-run", "fig2-2"}, "flag provided but not defined: -merge"},
 		{"merge and shards", []string{"-merge", "-shards", "3"}, "flag provided but not defined: -merge"},
 		{"connect and shards", []string{"-connect", "h:1", "-shards", "2"}, "contradictory modes"},
-		{"connect and serve-stdio", []string{"-connect", "h:1", "-serve-stdio"}, "contradictory modes"},
+		{"connect and serve-stdio", []string{"-connect", "h:1", "-serve-stdio"}, "flag provided but not defined: -serve-stdio"},
 		{"shard and shards", []string{"-run", "x", "-shard", "0/2", "-shards", "2"}, "flag provided but not defined: -shard"},
 		{"listen without shards", []string{"-run", "fig2-2", "-listen", ":0"}, "-listen needs -shards"},
 		{"coordinator without run", []string{"-shards", "3"}, "coordinator needs -run"},
 		{"worker without run", []string{"-shard", "0/2"}, "flag provided but not defined: -shard"},
 		{"merge with run", []string{"-merge", "-run", "fig2-2"}, "flag provided but not defined: -merge"},
 		{"connect with run", []string{"-connect", "h:1", "-run", "fig2-2"}, "assignments from the coordinator"},
-		{"serve-stdio with output", []string{"-serve-stdio", "-o", "f.json"}, "flag provided but not defined: -o"},
+		{"serve-stdio with output", []string{"-serve-stdio", "-o", "f.json"}, "flag provided but not defined: -serve-stdio"},
 		{"shard with listen", []string{"-run", "x", "-shard", "0/2", "-listen", ":0"}, "flag provided but not defined: -shard"},
-		{"unknown transport", []string{"-run", "x", "-shards", "2", "-transport", "smoke-signals"}, "unknown -transport"},
-		{"tcp transport without listen", []string{"-run", "x", "-shards", "2", "-transport", "tcp"}, "needs -listen"},
-		{"procs with tcp", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-procs", "3"}, "-procs applies to local transports"},
-		{"listen with subprocess transport", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-transport", "subprocess"}, "-listen implies -transport tcp"},
+		{"unknown transport", []string{"-run", "x", "-shards", "2", "-transport", "smoke-signals"}, "flag provided but not defined: -transport"},
+		{"tcp transport without listen", []string{"-run", "x", "-shards", "2", "-transport", "tcp"}, "flag provided but not defined: -transport"},
+		{"procs with tcp", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-procs", "3"}, "-procs sizes the in-process fleet"},
+		{"procs above the shard cap", []string{"-run", "x", "-shards", "2", "-procs", "4097"}, "above the fleet cap of 4096"},
+		{"listen with subprocess transport", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-transport", "subprocess"}, "flag provided but not defined: -transport"},
 		{"die-after-assign on coordinator", []string{"-run", "x", "-shards", "2", "-die-after-assign", "1"}, "-die-after-assign is a worker flag"},
 		{"die-after-assign on one-shot", []string{"-run", "x", "-shard", "0/2", "-die-after-assign", "1"}, "flag provided but not defined: -shard"},
-		{"worker-die-after without subprocess", []string{"-run", "x", "-shards", "2", "-transport", "inproc", "-worker-die-after", "1"}, "-worker-die-after needs -transport subprocess"},
+		{"worker-die-after without subprocess", []string{"-run", "x", "-shards", "2", "-worker-die-after", "1"}, "flag provided but not defined: -worker-die-after"},
 		{"addr-file without tcp", []string{"-run", "x", "-shards", "2", "-addr-file", "/tmp/a"}, "-addr-file publishes a -listen address"},
 		{"coordinator flag on connect worker", []string{"-connect", "h:1", "-addr-file", "/tmp/a"}, "coordinator flag"},
-		{"coordinator flag on stdio worker", []string{"-serve-stdio", "-retries", "5"}, "coordinator flag"},
+		{"coordinator flag on stdio worker", []string{"-serve-stdio", "-retries", "5"}, "flag provided but not defined: -serve-stdio"},
+		{"retries on connect worker", []string{"-connect", "h:1", "-retries", "5"}, "coordinator flag"},
 		{"coordinator flag on merge", []string{"-merge", "-no-steal"}, "flag provided but not defined: -merge"},
 		{"coordinator flag on one-shot", []string{"-run", "x", "-shard", "0/2", "-procs", "3"}, "flag provided but not defined: -shard"},
 		{"campaign and merge", []string{"-campaign", "-merge", "fig2-2"}, "flag provided but not defined: -merge"},
@@ -57,19 +64,20 @@ func TestFlagValidation(t *testing.T) {
 		{"campaign spec without shards", []string{"-campaign", "fig2-2"}, "no shard count"},
 		{"campaign missing job file", []string{"-campaign", "-shards", "2", "@/definitely/not/a/file"}, "no such file"},
 		{"campaign with die-after-assign", []string{"-campaign", "-die-after-assign", "1", "fig2-2"}, "-die-after-assign is a worker flag"},
-		{"campaign listen with inproc", []string{"-campaign", "-transport", "inproc", "-listen", ":0", "fig2-2"}, "-listen implies -transport tcp"},
+		{"campaign listen with inproc", []string{"-campaign", "-transport", "inproc", "-listen", ":0", "fig2-2"}, "flag provided but not defined: -transport"},
 		{"run bad verify", []string{"-run", "fig2-2", "-shards", "2", "-verify", "NaN"}, "outside [0, 1]"},
 		{"run with job-spec arguments", []string{"-run", "fig2-2", "-shards", "2", "fig3-1"}, "queue several with -campaign"},
 		{"run unknown experiment", []string{"-run", "no-such", "-shards", "2"}, "unknown experiment"},
 		{"run non-finite scale", []string{"-run", "fig2-2", "-shards", "2", "-scale", "NaN"}, "invalid scale"},
 		{"verify without campaign", []string{"-connect", "h:1", "-verify", "0.5"}, "coordinator flag"},
-		{"report-dir without campaign", []string{"-serve-stdio", "-report-dir", "/tmp/r"}, "coordinator flag"},
+		{"report-dir without campaign", []string{"-connect", "h:1", "-report-dir", "/tmp/r"}, "coordinator flag"},
 		{"no-warm without campaign", []string{"-connect", "h:1", "-no-warm"}, "flag provided but not defined: -no-warm"},
 		{"heartbeat on connect worker", []string{"-connect", "h:1", "-heartbeat", "1s"}, "coordinator flag"},
-		{"heartbeat-misses on stdio worker", []string{"-serve-stdio", "-heartbeat-misses", "5"}, "coordinator flag"},
+		{"heartbeat-misses on stdio worker", []string{"-serve-stdio", "-heartbeat-misses", "5"}, "flag provided but not defined: -serve-stdio"},
+		{"heartbeat-misses on connect worker", []string{"-connect", "h:1", "-heartbeat-misses", "5"}, "coordinator flag"},
 		{"token on merge", []string{"-merge", "-token", "s"}, "flag provided but not defined: -merge"},
 		{"chaos on one-shot", []string{"-run", "x", "-shard", "0/2", "-chaos-plan", "drop=0.1"}, "flag provided but not defined: -shard"},
-		{"chaos on stdio worker", []string{"-serve-stdio", "-chaos-plan", "drop=0.1"}, "inject chaos at the coordinator"},
+		{"chaos on stdio worker", []string{"-serve-stdio", "-chaos-plan", "drop=0.1"}, "flag provided but not defined: -serve-stdio"},
 		{"chaos-seed without plan", []string{"-run", "x", "-shards", "2", "-chaos-seed", "7"}, "needs a -chaos-plan"},
 		{"bad chaos plan", []string{"-run", "x", "-shards", "2", "-chaos-plan", "drop=2"}, "probability in [0,1]"},
 		{"unknown chaos key", []string{"-connect", "h:1", "-chaos-plan", "teleport=0.5"}, "unknown chaos plan key"},
@@ -102,7 +110,7 @@ func TestListMode(t *testing.T) {
 }
 
 // TestInprocCoordinatorMatchesDirectRun drives the full coordinator
-// pipeline through the CLI entry point (inproc transport) and compares
+// pipeline through the CLI entry point (in-process fleet) and compares
 // against the equivalent of hintbench's output for the same experiment.
 // A -run is a one-job campaign, so verification and -report-dir apply
 // to it too.
@@ -117,7 +125,7 @@ func TestInprocCoordinatorMatchesDirectRun(t *testing.T) {
 	want := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String() + "\n"
 	repDir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-run", "fig2-2", "-shards", "5", "-transport", "inproc", "-procs", "2", "-scale", "0.1", "-seed", "42",
+	code := run([]string{"-run", "fig2-2", "-shards", "5", "-procs", "2", "-scale", "0.1", "-seed", "42",
 		"-verify", "1", "-report-dir", repDir}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
@@ -131,7 +139,7 @@ func TestInprocCoordinatorMatchesDirectRun(t *testing.T) {
 }
 
 // TestInprocCampaignMatchesDirectRuns drives the campaign pipeline
-// through the CLI entry point (inproc transport, jobs from both a spec
+// through the CLI entry point (in-process fleet, jobs from both a spec
 // argument and an @file, verification on) and requires every report —
 // on stdout, in submission order, and in -report-dir — to match the
 // direct runs byte for byte.
@@ -146,7 +154,7 @@ func TestInprocCampaignMatchesDirectRuns(t *testing.T) {
 	}
 	repDir := filepath.Join(dir, "reports")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-campaign", "-transport", "inproc", "-procs", "2", "-shards", "3",
+	code := run([]string{"-campaign", "-procs", "2", "-shards", "3",
 		"-scale", "0.1", "-seed", "42", "-verify", "1", "-report-dir", repDir,
 		"fig2-2", "@" + jobFile}, &stdout, &stderr)
 	if code != 0 {
@@ -179,5 +187,38 @@ func TestInprocCampaignMatchesDirectRuns(t *testing.T) {
 	if stdout.String() != want.String() {
 		t.Errorf("campaign stdout differs from the concatenated direct runs:\n--- direct ---\n%s\n--- campaign ---\n%s",
 			want.String(), stdout.String())
+	}
+}
+
+// TestDefaultFleetSize: without -procs (or -listen) the fleet is one
+// in-process worker per shard of the widest job, but never more workers
+// than CPUs. The -v summary's workers= counts the workers that joined.
+func TestDefaultFleetSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs experiments")
+	}
+	cpus := runtime.NumCPU()
+	for _, c := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"one shard", []string{"-run", "fig2-2", "-shards", "1"}, 1},
+		{"wider than the machine", []string{"-campaign", "-shards", "1", "fig2-2", fmt.Sprintf("fig2-2:seed=7:shards=%d", cpus+1)}, cpus},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-scale", "0.1", "-v"}, c.args...)
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+			}
+			m := regexp.MustCompile(`workers=(\d+)`).FindStringSubmatch(stderr.String())
+			if m == nil {
+				t.Fatalf("no workers= in the -v summary:\n%s", stderr.String())
+			}
+			if got, _ := strconv.Atoi(m[1]); got != c.want {
+				t.Errorf("fleet of %d workers, want %d (CPUs %d)", got, c.want, cpus)
+			}
+		})
 	}
 }

@@ -3,10 +3,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"os/exec"
 	"reflect"
 	"runtime"
 	"strings"
@@ -41,40 +38,12 @@ func standalone(t *testing.T, j Job) string {
 	return exp.Run(experiments.Config{Scale: j.Scale, Seed: j.Seed, Workers: 1}).String()
 }
 
-// TestStdioWorkerHelper is not a test: it is the subprocess-transport
-// worker body the campaign tests spawn (the test binary re-executed
-// with CAMPAIGN_STDIO_WORKER set). It exits the process directly so the
-// test framework's "PASS" never reaches the protocol stream.
-func TestStdioWorkerHelper(t *testing.T) {
-	if os.Getenv("CAMPAIGN_STDIO_WORKER") == "" {
-		t.Skip("subprocess worker helper; spawned by the campaign tests")
-	}
-	so := cluster.ServeOptions{Name: fmt.Sprintf("helper/%d", os.Getpid()), Workers: 1}
-	if os.Getenv("CAMPAIGN_DIE_AFTER_2") != "" {
-		seen := 0
-		so.OnAssign = func(cluster.Assign) error {
-			seen++
-			if seen >= 2 {
-				os.Exit(3) // abrupt mid-campaign death on the second assignment
-			}
-			return nil
-		}
-	}
-	if err := cluster.ServeStdio(so); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// startTransport builds one of the three transports with the given
+// startTransport builds one of the two transports with the given
 // worker count. With killSecond, worker 0 dies on its second assignment
 // — mid-campaign, after contributing real work to the first job — and
 // no other worker sends its hello before that assignment is out:
 // otherwise the other workers can drain the whole campaign before the
-// killer's second assignment, and the kill never happens. In-process
-// and TCP workers wait for the killer's OnAssign; subprocess workers
-// are held back at the transport's Accept.
+// killer's second assignment, and the kill never happens.
 func startTransport(t *testing.T, kind string, workers int, killSecond bool) cluster.Transport {
 	t.Helper()
 	killed := make(chan struct{})
@@ -103,19 +72,6 @@ func startTransport(t *testing.T, kind string, workers int, killSecond bool) clu
 			}
 			serve(i, c)
 		})
-	case "subprocess":
-		tr := cluster.NewSubprocess(workers, func(i int) *exec.Cmd {
-			cmd := exec.Command(os.Args[0], "-test.run=TestStdioWorkerHelper$")
-			cmd.Env = append(os.Environ(), "CAMPAIGN_STDIO_WORKER=1")
-			if killSecond && i == 0 {
-				cmd.Env = append(cmd.Env, "CAMPAIGN_DIE_AFTER_2=1")
-			}
-			return cmd
-		})
-		if killSecond {
-			return newAssignGate(tr, 2)
-		}
-		return tr
 	case "tcp":
 		lt, err := cluster.ListenTCP("127.0.0.1:0")
 		if err != nil {
@@ -139,60 +95,6 @@ func startTransport(t *testing.T, kind string, workers int, killSecond bool) clu
 	return nil
 }
 
-// assignGate holds every Accept after the first until the coordinator
-// has sent the first accepted worker n assignments. Close releases a
-// held Accept, so an aborted run still winds down.
-type assignGate struct {
-	cluster.Transport
-	n         int
-	open      chan struct{}
-	closed    chan struct{}
-	closeOnce sync.Once
-	accepts   int // Accept runs on the coordinator's accept loop only
-}
-
-func newAssignGate(t cluster.Transport, n int) *assignGate {
-	return &assignGate{Transport: t, n: n, open: make(chan struct{}), closed: make(chan struct{})}
-}
-
-func (g *assignGate) Accept() (cluster.Conn, error) {
-	g.accepts++
-	if g.accepts > 1 {
-		select {
-		case <-g.open:
-		case <-g.closed:
-			return nil, io.EOF
-		}
-	}
-	c, err := g.Transport.Accept()
-	if err != nil || g.accepts > 1 {
-		return c, err
-	}
-	return &countAssigns{Conn: c, n: g.n, open: g.open}, nil
-}
-
-func (g *assignGate) Close() error {
-	g.closeOnce.Do(func() { close(g.closed) })
-	return g.Transport.Close()
-}
-
-// countAssigns closes open once n assignments have gone out on the
-// conn. Only the conn's sender goroutine calls Send.
-type countAssigns struct {
-	cluster.Conn
-	n, sent int
-	open    chan struct{}
-}
-
-func (c *countAssigns) Send(m cluster.Message) error {
-	if _, ok := m.(*cluster.Assign); ok {
-		if c.sent++; c.sent == c.n {
-			close(c.open)
-		}
-	}
-	return c.Conn.Send(m)
-}
-
 // TestCampaignReportsIdenticalAcrossTransportsAndWorkers is the
 // campaign golden test: a three-job campaign through one fleet must
 // reproduce every job's standalone single-process report byte for byte,
@@ -208,7 +110,7 @@ func TestCampaignReportsIdenticalAcrossTransportsAndWorkers(t *testing.T) {
 	for _, j := range jobs {
 		bases = append(bases, standalone(t, j))
 	}
-	transports := []string{"inproc", "subprocess", "tcp"}
+	transports := []string{"inproc", "tcp"}
 	workerCounts := []int{1, 2, runtime.NumCPU()}
 	if underRace {
 		workerCounts = []int{2}
@@ -269,7 +171,7 @@ func TestCampaignWithWorkerKilledMidCampaign(t *testing.T) {
 	for _, j := range jobs {
 		bases = append(bases, standalone(t, j))
 	}
-	transports := []string{"inproc", "subprocess", "tcp"}
+	transports := []string{"inproc", "tcp"}
 	if underRace {
 		transports = []string{"inproc"}
 	}

@@ -234,6 +234,12 @@ func TestCampaignMutationsViaHTTP(t *testing.T) {
 	if code, body = post("/jobs/x/cancel", ""); code != http.StatusBadRequest {
 		t.Fatalf("non-numeric cancel = %d %q, want 400", code, body)
 	}
+	// A shard count above the coordinator's cap is refused by admission
+	// before anything is allocated: 409, and the job is not admitted
+	// (the submitted count below stays 2).
+	if code, body = post("/jobs", fmt.Sprintf("fig4-6:shards=%d", cluster.MaxShards+1)); code != http.StatusConflict || !strings.Contains(body, "above the cap") {
+		t.Fatalf("oversized submit = %d %q, want 409", code, body)
+	}
 
 	close(gate)
 	<-done

@@ -75,9 +75,9 @@ func TestChaosReportsByteIdentical(t *testing.T) {
 			t.Parallel()
 			base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
 
-			// TCP leg: faults on both directions, partitions healed by
-			// reconnect. The short heartbeat bounds how long a dropped
-			// frame's chain break stays undetected.
+			// Faults on both directions, partitions healed by reconnect.
+			// The short heartbeat bounds how long a dropped frame's chain
+			// break stays undetected.
 			lt, err := ListenTCP("127.0.0.1:0")
 			if err != nil {
 				t.Fatalf("listen: %v", err)
@@ -98,9 +98,9 @@ func TestChaosReportsByteIdentical(t *testing.T) {
 			}
 			join()
 
-			// Subprocess leg: faults restricted to the first conn (a
-			// subprocess worker cannot reconnect — killing every conn
-			// would just exhaust the pool), so the surviving workers
+			// In-process leg: faults restricted to the first conn (an
+			// in-process worker cannot reconnect — killing every conn
+			// would just exhaust the fleet), so the surviving workers
 			// absorb the requeued shards.
 			sp := &FaultPlan{
 				Seed:     11,
@@ -112,17 +112,20 @@ func TestChaosReportsByteIdentical(t *testing.T) {
 				Conns:    1,
 				MaxKills: 2,
 			}
-			rep, stats, err = runOne(WithChaos(NewSubprocess(workers, helperCommand(false)), sp), job, Options{
+			inproc := NewInProcess(workers, func(i int, c Conn) {
+				Serve(c, ServeOptions{Name: fmt.Sprintf("chaos-inproc-%d", i), Workers: 1})
+			})
+			rep, stats, err = runOne(WithChaos(inproc, sp), job, Options{
 				ShardWorkers:      1,
 				Retries:           30,
 				HeartbeatInterval: 100 * time.Millisecond,
 				HeartbeatMisses:   10,
 			})
 			if err != nil {
-				t.Fatalf("chaotic subprocess run: %v (stats %+v)", err, stats)
+				t.Fatalf("chaotic in-process run: %v (stats %+v)", err, stats)
 			}
 			if got := rep.String(); got != base {
-				t.Errorf("subprocess report differs under chaos (stats %+v):\n--- clean ---\n%s\n--- chaotic ---\n%s", stats, base, got)
+				t.Errorf("in-process report differs under chaos (stats %+v):\n--- clean ---\n%s\n--- chaotic ---\n%s", stats, base, got)
 			}
 		})
 	}

@@ -3,67 +3,21 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"os/exec"
-	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 )
 
-// TestStdioWorkerHelper is not a test: it is the subprocess-transport
-// worker body the cluster tests spawn (the test binary re-executed with
-// CLUSTER_STDIO_WORKER set). It exits the process directly so the test
-// framework's "PASS" never reaches the protocol stream.
-func TestStdioWorkerHelper(t *testing.T) {
-	if os.Getenv("CLUSTER_STDIO_WORKER") == "" {
-		t.Skip("subprocess worker helper; spawned by the cluster tests")
-	}
-	so := ServeOptions{Name: fmt.Sprintf("helper/%d", os.Getpid()), Workers: 1}
-	if v := os.Getenv("CLUSTER_DIE_AFTER"); v != "" {
-		n, _ := strconv.Atoi(v)
-		seen := 0
-		so.OnAssign = func(Assign) error {
-			seen++
-			if seen >= n {
-				os.Exit(3) // abrupt mid-shard death
-			}
-			return nil
-		}
-	}
-	if err := ServeStdio(so); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// helperCommand builds the subprocess worker invocation; killFirst makes
-// worker 0 die abruptly on its first assignment.
-func helperCommand(killFirst bool) func(i int) *exec.Cmd {
-	return func(i int) *exec.Cmd {
-		cmd := exec.Command(os.Args[0], "-test.run=TestStdioWorkerHelper$")
-		cmd.Env = append(os.Environ(), "CLUSTER_STDIO_WORKER=1")
-		if killFirst && i == 0 {
-			cmd.Env = append(cmd.Env, "CLUSTER_DIE_AFTER=1")
-		}
-		return cmd
-	}
-}
-
-// startTransport builds one of the three transports with the given
+// startTransport builds one of the two transports with the given
 // worker count for the experiment runs in these tests. With killFirst,
 // worker 0 dies abruptly on its first assignment (the shard is assigned
 // and never answered), and no other worker sends its hello before that
 // assignment is out: otherwise a fast experiment can finish on the
 // other workers before the killer joins, and the kill never happens.
-// In-process and TCP workers wait for the killer's OnAssign; subprocess
-// workers are held back at the transport's Accept.
 func startTransport(t *testing.T, kind string, workers int, killFirst bool) Transport {
 	t.Helper()
 	killed := make(chan struct{})
@@ -88,12 +42,6 @@ func startTransport(t *testing.T, kind string, workers int, killFirst bool) Tran
 			}
 			serve(i, c)
 		})
-	case "subprocess":
-		tr := NewSubprocess(workers, helperCommand(killFirst))
-		if killFirst {
-			return newAssignGate(tr, 1)
-		}
-		return tr
 	case "tcp":
 		lt, err := ListenTCP("127.0.0.1:0")
 		if err != nil {
@@ -115,60 +63,6 @@ func startTransport(t *testing.T, kind string, workers int, killFirst bool) Tran
 	}
 	t.Fatalf("unknown transport %q", kind)
 	return nil
-}
-
-// assignGate holds every Accept after the first until the coordinator
-// has sent the first accepted worker n assignments. Close releases a
-// held Accept, so an aborted run still winds down.
-type assignGate struct {
-	Transport
-	n         int
-	open      chan struct{}
-	closed    chan struct{}
-	closeOnce sync.Once
-	accepts   int // Accept runs on the coordinator's accept loop only
-}
-
-func newAssignGate(t Transport, n int) *assignGate {
-	return &assignGate{Transport: t, n: n, open: make(chan struct{}), closed: make(chan struct{})}
-}
-
-func (g *assignGate) Accept() (Conn, error) {
-	g.accepts++
-	if g.accepts > 1 {
-		select {
-		case <-g.open:
-		case <-g.closed:
-			return nil, io.EOF
-		}
-	}
-	c, err := g.Transport.Accept()
-	if err != nil || g.accepts > 1 {
-		return c, err
-	}
-	return &countAssigns{Conn: c, n: g.n, open: g.open}, nil
-}
-
-func (g *assignGate) Close() error {
-	g.closeOnce.Do(func() { close(g.closed) })
-	return g.Transport.Close()
-}
-
-// countAssigns closes open once n assignments have gone out on the
-// conn. Only the conn's sender goroutine calls Send.
-type countAssigns struct {
-	Conn
-	n, sent int
-	open    chan struct{}
-}
-
-func (c *countAssigns) Send(m Message) error {
-	if _, ok := m.(*Assign); ok {
-		if c.sent++; c.sent == c.n {
-			close(c.open)
-		}
-	}
-	return c.Conn.Send(m)
 }
 
 // runOne runs a one-job Run and returns the job's report.
@@ -214,27 +108,30 @@ func clusterRun(t *testing.T, kind, id string, workers, shards int, killFirst bo
 	return rep, stats
 }
 
-// TestKilledWorkerProcessShardRedispatched kills a real worker process
-// mid-shard (it receives the assignment and exits 3 without answering)
-// and requires the coordinator to re-dispatch the orphaned shard and
-// still produce the byte-identical report.
-func TestKilledWorkerProcessShardRedispatched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
+// TestRunRefusesShardsAboveCap: a job asking for more than MaxShards
+// shards is refused at admission, before the coordinator sizes any
+// per-shard state and before any worker receives an assignment.
+func TestRunRefusesShardsAboveCap(t *testing.T) {
+	var assigned atomic.Bool
+	served := make(chan struct{})
+	tr := NewInProcess(1, func(i int, c Conn) {
+		defer close(served)
+		Serve(c, ServeOptions{Name: "w", Workers: 1, OnAssign: func(Assign) error {
+			assigned.Store(true)
+			return errors.New("assignment received")
+		}})
+	})
+	_, _, err := runOne(tr, Job{Experiment: "fig4-6", Seed: 42, Scale: 0.1, Shards: MaxShards + 1}, Options{})
+	tr.Close()
+	<-served
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("above the cap of %d", MaxShards)) {
+		t.Errorf("error %v, want the shard cap refusal", err)
 	}
-	exp, _ := experiments.ByID("fig2-2")
-	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
-	rep, stats := clusterRun(t, "subprocess", "fig2-2", 2, 3, true)
-	if got := rep.String(); got != base {
-		t.Errorf("report differs after mid-shard worker kill:\n--- base ---\n%s\n--- cluster ---\n%s", base, got)
+	if assigned.Load() {
+		t.Error("a worker received an assignment of the oversized job")
 	}
-	// The killed worker's shard is recovered either by a post-death
-	// requeue or by a steal that raced ahead of the death notice.
-	if stats.Requeued+stats.Stolen < 1 {
-		t.Errorf("killed worker's shard neither requeued nor stolen (stats %+v)", stats)
-	}
-	if stats.Workers < 1 {
-		t.Errorf("stats.Workers = %d", stats.Workers)
+	if _, _, err := runOne(NewInProcess(0, nil), Job{Experiment: "fig4-6", Seed: 42, Scale: 0.1, Shards: MaxShards}, Options{}); err == nil || strings.Contains(err.Error(), "above the cap") {
+		t.Errorf("a job of exactly MaxShards shards: error %v, want only the stall of an empty fleet", err)
 	}
 }
 
@@ -262,29 +159,6 @@ func TestWorkerErrorExhaustsRetryBudget(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "injected shard failure") || !strings.Contains(err.Error(), "failed 2 times") {
 		t.Errorf("error %q does not describe the exhausted retry budget", err)
-	}
-}
-
-// TestWorkerExitCodePropagation: when the run fails because worker
-// processes died, the coordinator's error carries the worker's exit
-// code for cmd/hintshard to propagate.
-func TestWorkerExitCodePropagation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	tr := NewSubprocess(1, helperCommand(true))
-	_, _, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
-		Retries: 0,
-	})
-	if err == nil {
-		t.Fatal("run with only a dying worker succeeded")
-	}
-	var we *WorkerExitError
-	if !errors.As(err, &we) {
-		t.Fatalf("error %v does not carry a WorkerExitError", err)
-	}
-	if we.Code != 3 {
-		t.Errorf("propagated exit code %d, want 3", we.Code)
 	}
 }
 
@@ -532,19 +406,24 @@ func TestHungVerifierSpeculativelyCovered(t *testing.T) {
 	}
 }
 
+// failingTransport is a Transport whose Accept fails at once, as a
+// listener whose socket broke would.
+type failingTransport struct{}
+
+func (failingTransport) Accept() (Conn, error) {
+	return nil, errors.New("accept: injected transport failure")
+}
+func (failingTransport) Close() error { return nil }
+
 // TestAcceptFailureSurfacesInStallError: when the transport cannot
-// produce workers at all (e.g. the worker binary fails to spawn), the
-// abort error must carry the transport's failure, not just the generic
-// stall.
+// produce workers at all, the abort error must carry the transport's
+// failure, not just the generic stall.
 func TestAcceptFailureSurfacesInStallError(t *testing.T) {
-	tr := NewSubprocess(1, func(i int) *exec.Cmd {
-		return exec.Command("/definitely/not/a/binary")
-	})
-	_, _, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{})
+	_, _, err := runOne(failingTransport{}, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{})
 	if err == nil {
-		t.Fatal("run with an unspawnable worker succeeded")
+		t.Fatal("run with a failing transport succeeded")
 	}
-	if !strings.Contains(err.Error(), "starting worker") {
-		t.Errorf("stall error %q does not surface the spawn failure", err)
+	if !strings.Contains(err.Error(), "injected transport failure") {
+		t.Errorf("stall error %q does not surface the accept failure", err)
 	}
 }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,6 +89,9 @@ func TestControlSubmitCancelLifecycle(t *testing.T) {
 	}
 	if _, err := ctl.Submit(Job{Experiment: "fig2-2", Scale: 0.1, Seed: 7}); err == nil || !strings.Contains(err.Error(), "shard count") {
 		t.Fatalf("zero-shard submit: %v", err)
+	}
+	if _, err := ctl.Submit(Job{Experiment: "fig2-2", Scale: 0.1, Seed: 7, Shards: MaxShards + 1}); err == nil || !strings.Contains(err.Error(), "above the cap") {
+		t.Fatalf("oversized submit: %v", err)
 	}
 	if err := ctl.Cancel(5); err == nil || !strings.Contains(err.Error(), "no job 5") {
 		t.Fatalf("cancel of unknown job: %v", err)
@@ -189,5 +194,122 @@ func TestControlUnattachedMutationsDoNotHang(t *testing.T) {
 	}
 	if ctl.Snapshot() != nil {
 		t.Error("unattached control has a snapshot")
+	}
+}
+
+// loopTracker wraps a transport so that every loop partial the
+// coordinator receives carries a finalizer; got and freed count, per
+// job, the partials received and the partials collected.
+type loopTracker struct {
+	Transport
+	got, freed []atomic.Int64
+}
+
+func (t *loopTracker) Accept() (Conn, error) {
+	c, err := t.Transport.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &trackedConn{Conn: c, t: t}, nil
+}
+
+type trackedConn struct {
+	Conn
+	t *loopTracker
+}
+
+func (c *trackedConn) Recv() (Message, error) {
+	m, err := c.Conn.Recv()
+	if lr, ok := m.(*LoopResult); ok && lr.Job < len(c.t.got) {
+		c.t.got[lr.Job].Add(1)
+		freed := &c.t.freed[lr.Job]
+		runtime.SetFinalizer(lr.Loop, func(*experiments.LoopPartial) { freed.Add(1) })
+	}
+	return m, err
+}
+
+// TestLongRunningCoordinatorReleasesFinishedJobs: a coordinator fed
+// jobs through its Control must not keep the results of jobs it has
+// delivered. Fifty jobs are submitted to one run; when the last one is
+// emitted — the run still live — the report and every loop partial of
+// each earlier submitted job must be collectable.
+func TestLongRunningCoordinatorReleasesFinishedJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow")
+	}
+	const submitted = 50
+	tracker := &loopTracker{
+		Transport: NewInProcess(1, func(i int, c Conn) {
+			Serve(c, ServeOptions{Name: "w", Workers: 1})
+		}),
+		got:   make([]atomic.Int64, submitted+1),
+		freed: make([]atomic.Int64, submitted+1),
+	}
+	gate := make(chan struct{})
+	ctl := NewControl()
+	job := Job{Experiment: "fig2-2", Scale: 0.1, Seed: 42, Shards: 1}
+
+	var reportsFreed atomic.Int64
+	// released reports whether every earlier submitted job's report and
+	// partials have been collected; checked from the last job's Emit.
+	released := func() bool {
+		if reportsFreed.Load() != submitted-1 {
+			return false
+		}
+		for ji := 1; ji < submitted; ji++ {
+			if n := tracker.got[ji].Load(); n == 0 || tracker.freed[ji].Load() != n {
+				return false
+			}
+		}
+		return true
+	}
+	var freedWhileLive bool
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, runErr = Run(&gatedTransport{inner: tracker, gate: gate}, []Job{job}, Options{
+			ShardWorkers: 1,
+			NoSteal:      true,
+			Control:      ctl,
+			Emit: func(ji int, _ Job, rep *experiments.Report) error {
+				if ji == 0 {
+					return nil
+				}
+				runtime.SetFinalizer(rep, func(*experiments.Report) { reportsFreed.Add(1) })
+				if ji < submitted {
+					return nil
+				}
+				for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+					runtime.GC()
+					if freedWhileLive = released(); freedWhileLive {
+						break
+					}
+				}
+				return nil
+			},
+		})
+	}()
+	for k := 1; k <= submitted; k++ {
+		j := job
+		j.Seed = int64(k)
+		if ji, err := ctl.Submit(j); err != nil || ji != k {
+			t.Fatalf("submit %d = (%d, %v)", k, ji, err)
+		}
+	}
+	close(gate)
+	<-done
+	if runErr != nil {
+		t.Fatalf("run: %v", runErr)
+	}
+	if !freedWhileLive {
+		var kept []int
+		for ji := 1; ji < submitted; ji++ {
+			if tracker.freed[ji].Load() != tracker.got[ji].Load() {
+				kept = append(kept, ji)
+			}
+		}
+		t.Errorf("after the last emit, %d of %d earlier reports were collected; jobs %v still hold loop partials",
+			reportsFreed.Load(), submitted-1, kept)
 	}
 }

@@ -26,11 +26,19 @@ type Job struct {
 	Experiment string
 	Seed       int64
 	Scale      float64
-	// Shards is this job's queue length K. Keep it a few times the
-	// worker count so a straggler holds back one small shard; the report
-	// is byte-identical for every K ≥ 1.
+	// Shards is this job's queue length K, at most MaxShards. Keep it a
+	// few times the worker count so a straggler holds back one small
+	// shard; the report is byte-identical for every K ≥ 1.
 	Shards int
 }
+
+// MaxShards bounds a job's shard count. A coordinator allocates per-shard
+// state for every job it admits, so an unbounded count lets one job spec
+// exhaust its memory; shards beyond an experiment's trial count are
+// empty assignments anyway. The largest trial loop of any registered
+// experiment is 600 trials at paper scale (sec5-1), so the cap leaves
+// about 7× headroom (DESIGN.md, "Admission bounds").
+const MaxShards = 4096
 
 // Options configures one Run; every setting applies to every job.
 type Options struct {
@@ -128,17 +136,6 @@ const (
 	defaultHeartbeatMisses   = 15
 )
 
-// WorkerExitError reports that the run failed after a worker process
-// exited abnormally; cmd/hintshard propagates the code so the operator
-// sees the worker's exit status, not a generic failure.
-type WorkerExitError struct {
-	Code int
-	Err  error
-}
-
-func (e *WorkerExitError) Error() string { return e.Err.Error() }
-func (e *WorkerExitError) Unwrap() error { return e.Err }
-
 // VerifyError is the hard fault of the verification mode: a shard was
 // executed twice and the two canonical partial encodings differ. Under
 // the determinism contract that can only mean corruption — a broken
@@ -190,10 +187,6 @@ func VerifySample(job Job, index int, fraction float64) []int {
 	}
 	return out
 }
-
-// exitCoder is implemented by connections that can report how their
-// worker process exited (the subprocess transport).
-type exitCoder interface{ ExitCode() int }
 
 // workerState is the coordinator's view of one connection. All fields
 // are owned by the coordinator loop; the sender and reader goroutines
@@ -251,8 +244,11 @@ type verifyState struct {
 // shard queue, the completed partials, the failure ledger, and the
 // verification sample.
 type jobState struct {
-	job      Job
-	queue    *parallel.ShardQueue
+	job   Job
+	queue *parallel.ShardQueue
+	// partials is released once the merge starts, and merged once the
+	// report is delivered, so a long-running coordinator holds the
+	// results of in-flight jobs only.
 	partials []*experiments.Partial
 	failures []int
 	// verify maps sampled shard index → verification state; sampled
@@ -364,6 +360,9 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 		if j.Shards < 1 {
 			return 0, fmt.Errorf("cluster: job %d (%s) has no shard count", ji, j.Experiment)
 		}
+		if j.Shards > MaxShards {
+			return 0, fmt.Errorf("cluster: job %d (%s) asks for %d shards, above the cap of %d", ji, j.Experiment, j.Shards, MaxShards)
+		}
 		js := &jobState{
 			job:      j,
 			queue:    parallel.NewShardQueue(j.Shards),
@@ -411,7 +410,6 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 	var idle []*workerState
 	acceptDone := false
 	var acceptErr error
-	var lastExit *WorkerExitError
 	nextEmit := 0
 
 	// Every producer goroutine (accept loop, per-connection reader and
@@ -513,9 +511,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 
 	// teardown removes a worker from service. Graceful teardown lets the
 	// sender flush queued messages (the Stop) before it closes the
-	// connection; abrupt teardown closes immediately — off the event
-	// loop, because closing a live subprocess worker waits out a stop
-	// grace before killing it, and dispatch must not stall behind that.
+	// connection; abrupt teardown closes it immediately.
 	teardown := func(w *workerState, graceful bool) {
 		if w.dead {
 			return
@@ -523,7 +519,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 		w.dead = true
 		close(w.out)
 		if !graceful {
-			go w.conn.Close()
+			w.conn.Close()
 		}
 		for i, iw := range idle {
 			if iw == w {
@@ -597,6 +593,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 					return
 				}
 			}
+			js.merged = nil
 			nextEmit++
 		}
 	}
@@ -619,6 +616,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 			}
 			parts = append(parts, p)
 		}
+		js.partials = nil
 		spawn(func() {
 			rep, err := experiments.MergeShards(parts, o.MergeWorkers)
 			events <- event{merge: &mergeDone{job: ji, rep: rep, err: err}}
@@ -778,16 +776,6 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 			dispatch(w)
 			if len(idle) > before {
 				return // parked again: nothing left to hand out
-			}
-		}
-	}
-
-	// recordExit captures a dead worker process's exit code for error
-	// propagation.
-	recordExit := func(w *workerState) {
-		if ec, ok := w.conn.(exitCoder); ok {
-			if code := ec.ExitCode(); code > 0 {
-				lastExit = &WorkerExitError{Code: code}
 			}
 		}
 	}
@@ -1049,8 +1037,8 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 		case ev.w == nil:
 			// Accept loop ended. A fixed-size pool exhausting itself
 			// (io.EOF) or the final transport Close are expected; a real
-			// accept or spawn failure is kept for the stall diagnosis —
-			// it is the root cause when no worker ever appears.
+			// accept failure is kept for the stall diagnosis — it is the
+			// root cause when no worker ever appears.
 			acceptDone = true
 			if ev.err != nil && ev.err != io.EOF && !errors.Is(ev.err, net.ErrClosed) {
 				acceptErr = ev.err
@@ -1076,7 +1064,6 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 				logf("cluster: worker %s disconnected: %v", ev.w.name, ev.err)
 			}
 			teardown(ev.w, false)
-			recordExit(ev.w)
 			salvage(ev.w, fmt.Errorf("worker %s died: %w", ev.w.name, ev.err))
 		case ev.msg == nil:
 			// Fresh connection: arm its per-message deadlines, start its
@@ -1288,10 +1275,6 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 	}
 
 	if abortErr != nil {
-		if lastExit != nil {
-			lastExit.Err = abortErr
-			return nil, stats, lastExit
-		}
 		return nil, stats, abortErr
 	}
 	return results, stats, nil

@@ -11,7 +11,7 @@ import (
 // runtime's golden test, extending the engine's determinism contract to
 // its final form: for every registered experiment, running through the
 // work-stealing coordinator must reproduce the single-process report
-// byte for byte across every transport {in-process, subprocess, TCP} ×
+// byte for byte across both transports {in-process, TCP} ×
 // worker count {1, 2, 3, NumCPU} — with the shard queue deliberately
 // longer than the worker pool so assignment order, steal decisions, and
 // speculative duplicates all vary run to run. Nothing but wall-clock
@@ -20,7 +20,7 @@ func TestReportsIdenticalAcrossTransportsAndWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	transports := []string{"inproc", "subprocess", "tcp"}
+	transports := []string{"inproc", "tcp"}
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	if underRace {
 		// One concurrent configuration per transport suffices for the
@@ -65,7 +65,7 @@ func TestReportsIdenticalWithWorkerKilledMidShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	transports := []string{"inproc", "subprocess", "tcp"}
+	transports := []string{"inproc", "tcp"}
 	if underRace {
 		transports = []string{"inproc"}
 	}

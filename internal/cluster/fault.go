@@ -167,17 +167,13 @@ func (f *ConnFaults) next() (faultKind, time.Duration) {
 }
 
 // InjectFaults attaches a fault schedule to a connection. It returns
-// false when the conn does not route through the stream framing layer
-// (no current transport does that) or when f is nil.
+// false when f is nil or when c is not a conn this package's transports
+// made (a wrapper around one, say).
 func InjectFaults(c Conn, f *ConnFaults) bool {
-	if f == nil {
+	sc, ok := c.(*streamConn)
+	if f == nil || !ok {
 		return false
 	}
-	s, ok := c.(interface{ stream() *streamConn })
-	if !ok {
-		return false
-	}
-	sc := s.stream()
 	sc.wg.Lock()
 	sc.faults = f
 	sc.wg.Unlock()

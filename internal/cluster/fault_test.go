@@ -15,7 +15,7 @@ import (
 // plumbing the in-process transport uses).
 func pipeConns() (*streamConn, *streamConn) {
 	a, b := net.Pipe()
-	return newStreamConn(a, a, a.Close), newStreamConn(b, b, b.Close)
+	return newStreamConn(a), newStreamConn(b)
 }
 
 // drive sends n hello frames from c while the other side receives until

@@ -10,8 +10,8 @@ import (
 // connected to the coordinator over synchronous in-memory pipes. The
 // frames and message codecs are exercised exactly as on a real network —
 // only the bytes' carrier differs — which is what lets the determinism
-// golden test cover the full runtime cheaply, and makes the transport a
-// drop-in local mode for cmd/hintshard.
+// golden test cover the full runtime cheaply, and makes it the local
+// fleet of cmd/hintshard.
 type inProcTransport struct {
 	conns chan Conn
 
@@ -28,10 +28,9 @@ func NewInProcess(n int, serve func(i int, c Conn)) Transport {
 	t := &inProcTransport{conns: make(chan Conn, n)}
 	for i := 0; i < n; i++ {
 		cp, wp := net.Pipe()
-		coord := newStreamConn(cp, cp, cp.Close)
-		work := newStreamConn(wp, wp, wp.Close)
+		work := newStreamConn(wp)
 		t.ends = append(t.ends, work)
-		t.conns <- coord
+		t.conns <- newStreamConn(cp)
 		go func(i int) {
 			defer work.Close()
 			serve(i, work)

@@ -150,7 +150,7 @@ func TestConnRejectsGarbageStream(t *testing.T) {
 	}
 	for i, in := range cases {
 		a, b := net.Pipe()
-		conn := newStreamConn(b, b, b.Close)
+		conn := newStreamConn(b)
 		go func(data []byte) {
 			a.Write(data)
 			a.Close()
@@ -176,8 +176,8 @@ func TestConnRejectsGarbageStream(t *testing.T) {
 // connection to cover multi-chunk frame reads end to end.
 func TestConnFrameRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
-	ca := newStreamConn(a, a, a.Close)
-	cb := newStreamConn(b, b, b.Close)
+	ca := newStreamConn(a)
+	cb := newStreamConn(b)
 	defer ca.Close()
 	defer cb.Close()
 	big := &ShardError{Shard: 1, Msg: strings.Repeat("x", 200_000)}
@@ -217,7 +217,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		a, b := net.Pipe()
-		worker := newStreamConn(b, b, b.Close)
+		worker := newStreamConn(b)
 		go func() {
 			frame, _, err := stats.AppendFrameSum(nil, payload, 0)
 			if err != nil {

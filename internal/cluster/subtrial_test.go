@@ -54,7 +54,7 @@ func TestSubTrialReportsIdenticalWithWorkerKilledMidSubTrial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	transports := []string{"inproc", "subprocess", "tcp"}
+	transports := []string{"inproc", "tcp"}
 	if underRace {
 		transports = []string{"inproc"}
 	}

@@ -7,9 +7,10 @@ import (
 
 // TCPTransport accepts workers over TCP: the coordinator listens, each
 // worker process dials in (DialTCP + Serve, or `hintshard -connect`),
-// and frames flow over the connection. Unlike the fixed-size local
-// transports, Accept keeps accepting until Close — a fleet can grow
-// mid-run and late workers simply start stealing from the queue.
+// and frames flow over the connection. Unlike the fixed-size
+// in-process transport, Accept keeps accepting until Close — a fleet
+// can grow mid-run and late workers simply start stealing from the
+// queue.
 type TCPTransport struct {
 	ln net.Listener
 }
@@ -36,7 +37,7 @@ func (t *TCPTransport) Accept() (Conn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return newStreamConn(c, c, c.Close), nil
+	return newStreamConn(c), nil
 }
 
 func (t *TCPTransport) Close() error { return t.ln.Close() }
@@ -50,5 +51,5 @@ func DialTCP(addr string) (Conn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return newStreamConn(c, c, c.Close), nil
+	return newStreamConn(c), nil
 }

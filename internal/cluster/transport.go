@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"bufio"
-	"io"
+	"net"
 	"sync"
 	"time"
 
@@ -30,31 +30,16 @@ type Conn interface {
 // Transport delivers worker connections to a coordinator.
 type Transport interface {
 	// Accept blocks until the next worker connects. It returns io.EOF
-	// when no further workers can ever arrive (a fixed-size local or
-	// subprocess pool is exhausted, or the transport was closed).
+	// when no further workers can ever arrive (a fixed-size in-process
+	// pool is exhausted, or the transport was closed).
 	Accept() (Conn, error)
-	// Close releases the transport (listeners, spawned processes).
+	// Close releases the transport (listeners, in-process workers).
 	// Connections already accepted stay open until individually closed.
 	Close() error
 }
 
-// readDeadliner / writeDeadliner are satisfied by every underlying
-// stream the transports use: net.Conn (TCP), net.Pipe (in-process), and
-// *os.File pipes (subprocess stdio, pollable on Linux). Streams that
-// lack deadline support — or return os.ErrNoDeadline — simply run
-// without per-message timeouts; the heartbeat layer still bounds how
-// long a silent peer is tolerated.
-type readDeadliner interface {
-	SetReadDeadline(time.Time) error
-}
-
-type writeDeadliner interface {
-	SetWriteDeadline(time.Time) error
-}
-
 // timeoutSetter is the optional Conn capability the coordinator and
-// worker use to arm per-message deadlines; streamConn (and everything
-// embedding it) implements it.
+// worker use to arm per-message deadlines; streamConn implements it.
 type timeoutSetter interface {
 	// SetTimeouts arms per-message read/write deadlines (0 disables
 	// either). Must be called before concurrent Send/Recv traffic
@@ -62,47 +47,31 @@ type timeoutSetter interface {
 	SetTimeouts(read, write time.Duration)
 }
 
-// streamConn frames messages over any ordered byte stream — a TCP
-// connection, a subprocess pipe pair, stdio. Every transport routes
-// through it, so the frame and message codecs are exercised identically
-// everywhere. Each direction carries an independent rolling CRC32C
-// chain (stats.WriteFrameSum/ReadFrameSum): rsum/wsum thread the chain
-// state frame to frame, so corruption, drops, duplicates, and reorders
-// on the stream all surface as stats.ErrChecksum at the reader.
+// streamConn frames messages over a net.Conn — a TCP connection or one
+// end of an in-process net.Pipe. Every transport routes through it, so
+// the frame and message codecs are exercised identically everywhere.
+// Each direction carries an independent rolling CRC32C chain
+// (stats.WriteFrameSum/ReadFrameSum): rsum/wsum thread the chain state
+// frame to frame, so corruption, drops, duplicates, and reorders on the
+// stream all surface as stats.ErrChecksum at the reader.
 type streamConn struct {
+	nc   net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
 	wg   sync.Mutex
 	rsum uint32 // reader-side chain state (single reader, no lock)
 	wsum uint32 // writer-side chain state (guarded by wg)
 
-	rd readDeadliner // non-nil when the read stream supports deadlines
-	wd writeDeadliner
-
 	readTimeout  time.Duration // per-message budgets; 0 = no deadline
 	writeTimeout time.Duration
 
 	faults *ConnFaults // non-nil when fault injection is active (guarded by wg)
-
-	closeOnce sync.Once
-	closeErr  error
-	close     func() error
 }
 
-// newStreamConn wraps a read stream, a write stream, and a close
-// function (which must unblock pending reads) into a Conn. Deadline
-// support is detected by interface assertion on the raw streams.
-func newStreamConn(r io.Reader, w io.Writer, close func() error) *streamConn {
-	c := &streamConn{r: bufio.NewReader(r), w: bufio.NewWriter(w), close: close}
-	c.rd, _ = r.(readDeadliner)
-	c.wd, _ = w.(writeDeadliner)
-	return c
+// newStreamConn wraps a connection into a Conn.
+func newStreamConn(nc net.Conn) *streamConn {
+	return &streamConn{nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
 }
-
-// stream exposes the underlying streamConn; embedding types (procConn)
-// inherit it, which is how InjectFaults reaches the frame layer of any
-// transport's conns.
-func (c *streamConn) stream() *streamConn { return c }
 
 // SetTimeouts arms per-message deadlines. Not safe concurrently with
 // in-flight Send/Recv; both runtimes call it during the handshake, with
@@ -118,9 +87,9 @@ func (c *streamConn) Send(m Message) error {
 	}
 	c.wg.Lock()
 	defer c.wg.Unlock()
-	if c.wd != nil && c.writeTimeout > 0 {
-		c.wd.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-		defer c.wd.SetWriteDeadline(time.Time{})
+	if c.writeTimeout > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+		defer c.nc.SetWriteDeadline(time.Time{})
 	}
 	if c.faults != nil {
 		return c.sendFaulty(payload)
@@ -134,8 +103,8 @@ func (c *streamConn) Send(m Message) error {
 }
 
 func (c *streamConn) Recv() (Message, error) {
-	if c.rd != nil && c.readTimeout > 0 {
-		c.rd.SetReadDeadline(time.Now().Add(c.readTimeout))
+	if c.readTimeout > 0 {
+		c.nc.SetReadDeadline(time.Now().Add(c.readTimeout))
 	}
 	payload, sum, err := stats.ReadFrameSum(c.r, maxFrame, c.rsum)
 	if err != nil {
@@ -145,11 +114,6 @@ func (c *streamConn) Recv() (Message, error) {
 	return DecodeMessage(payload)
 }
 
-func (c *streamConn) Close() error {
-	c.closeOnce.Do(func() {
-		if c.close != nil {
-			c.closeErr = c.close()
-		}
-	})
-	return c.closeErr
-}
+// Close closes the underlying connection, unblocking pending reads and
+// writes on both ends.
+func (c *streamConn) Close() error { return c.nc.Close() }

@@ -25,10 +25,10 @@ type ServeOptions struct {
 	Token string
 	// OnAssign, if set, runs before each assignment executes. Returning
 	// an error abandons the connection without touching the shard —
-	// fault injection for the failure-path tests (a subprocess worker's
-	// hook can exit the process outright, a goroutine worker's can drop
-	// the connection, both leaving the shard assigned but never
-	// finished).
+	// fault injection for the failure-path tests (hintshard's
+	// -die-after-assign hook exits the process outright, a goroutine
+	// worker's drops the connection, both leaving the shard assigned but
+	// never finished).
 	OnAssign func(Assign) error
 }
 
@@ -199,13 +199,6 @@ func serve(conn Conn, o ServeOptions, established *bool) error {
 			return fmt.Errorf("cluster: worker %s: unexpected %T from coordinator", name, in.m)
 		}
 	}
-}
-
-// ServeStdio runs a worker over this process's stdin/stdout — the mode
-// the subprocess transport spawns. The caller must not write anything
-// else to stdout.
-func ServeStdio(o ServeOptions) error {
-	return Serve(newStreamConn(os.Stdin, os.Stdout, nil), o)
 }
 
 // DialOptions configures ServeTCP's reconnect behavior.

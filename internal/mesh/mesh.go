@@ -1,115 +1,9 @@
-// Package mesh provides the neighbour-table and route-metric machinery
-// that the topology-maintenance analysis of §4.2 builds on: ETX link and
-// route metrics computed from delivery-probability estimates, and the
-// penalty/overhead analysis of choosing links from erroneous estimates.
+// Package mesh holds the link-selection analysis of §4.2's topology
+// maintenance: the ETX penalty and overhead a node pays when erroneous
+// delivery-probability estimates make it choose the worse of two links.
 package mesh
 
-import (
-	"errors"
-	"math"
-	"sort"
-	"time"
-)
-
-// NodeID identifies a mesh node.
-type NodeID int
-
-// Link is a directed link with a delivery-probability estimate.
-type Link struct {
-	From, To NodeID
-	// Forward and Reverse are the delivery probabilities in each
-	// direction; ETX uses their product.
-	Forward, Reverse float64
-	// UpdatedAt is when the estimate was last refreshed.
-	UpdatedAt time.Duration
-}
-
-// ETX returns the expected number of transmissions for the link: the
-// inverse of the product of forward and reverse delivery probabilities
-// (De Couto et al.). It returns +Inf for a dead link.
-func (l Link) ETX() float64 {
-	p := l.Forward * l.Reverse
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / p
-}
-
-// ForwardETX returns the ETX ignoring the reverse (ACK) direction, the
-// simplification used in the §4.2 analysis.
-func (l Link) ForwardETX() float64 {
-	if l.Forward <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / l.Forward
-}
-
-// Table is a node's neighbour table: the current link estimate per
-// neighbour.
-type Table struct {
-	Self  NodeID
-	links map[NodeID]Link
-}
-
-// NewTable returns an empty neighbour table for node self.
-func NewTable(self NodeID) *Table {
-	return &Table{Self: self, links: make(map[NodeID]Link)}
-}
-
-// Update inserts or replaces the link to a neighbour.
-func (t *Table) Update(l Link) {
-	l.From = t.Self
-	t.links[l.To] = l
-}
-
-// Link returns the stored link to a neighbour.
-func (t *Table) Link(to NodeID) (Link, bool) {
-	l, ok := t.links[to]
-	return l, ok
-}
-
-// Remove deletes a neighbour (e.g. on pruning).
-func (t *Table) Remove(to NodeID) { delete(t.links, to) }
-
-// Neighbors returns the neighbour ids sorted ascending.
-func (t *Table) Neighbors() []NodeID {
-	ids := make([]NodeID, 0, len(t.links))
-	for id := range t.links {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Len returns the number of neighbours.
-func (t *Table) Len() int { return len(t.links) }
-
-// Expire removes links not refreshed within maxAge of now and returns
-// how many were removed.
-func (t *Table) Expire(now, maxAge time.Duration) int {
-	n := 0
-	for id, l := range t.links {
-		if now-l.UpdatedAt > maxAge {
-			delete(t.links, id)
-			n++
-		}
-	}
-	return n
-}
-
-// BestNeighbor returns the neighbour with the lowest forward ETX and
-// whether the table is non-empty; ties break toward the smaller id for
-// determinism.
-func (t *Table) BestNeighbor() (NodeID, bool) {
-	best := NodeID(-1)
-	bestETX := math.Inf(1)
-	for _, id := range t.Neighbors() {
-		if etx := t.links[id].ForwardETX(); etx < bestETX {
-			best, bestETX = id, etx
-		}
-	}
-	return best, best >= 0
-}
+import "errors"
 
 // ErrSamePick is returned by Penalty when the estimate error cannot flip
 // the choice of link.

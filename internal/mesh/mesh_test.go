@@ -5,96 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func TestLinkETX(t *testing.T) {
-	l := Link{Forward: 0.8, Reverse: 0.5}
-	if got := l.ETX(); math.Abs(got-2.5) > 1e-9 {
-		t.Errorf("ETX = %v, want 2.5", got)
-	}
-	if got := l.ForwardETX(); math.Abs(got-1.25) > 1e-9 {
-		t.Errorf("ForwardETX = %v, want 1.25", got)
-	}
-	dead := Link{Forward: 0, Reverse: 1}
-	if !math.IsInf(dead.ETX(), 1) || !math.IsInf(dead.ForwardETX(), 1) {
-		t.Error("dead link ETX should be +Inf")
-	}
-}
-
-func TestTableUpdateLookup(t *testing.T) {
-	tab := NewTable(1)
-	tab.Update(Link{To: 2, Forward: 0.9, Reverse: 0.9})
-	tab.Update(Link{To: 3, Forward: 0.5, Reverse: 0.5})
-	l, ok := tab.Link(2)
-	if !ok || l.From != 1 || l.Forward != 0.9 {
-		t.Errorf("link = %+v ok=%v", l, ok)
-	}
-	if _, ok := tab.Link(99); ok {
-		t.Error("phantom neighbour")
-	}
-	if tab.Len() != 2 {
-		t.Errorf("Len = %d", tab.Len())
-	}
-	ns := tab.Neighbors()
-	if len(ns) != 2 || ns[0] != 2 || ns[1] != 3 {
-		t.Errorf("Neighbors = %v", ns)
-	}
-	tab.Remove(2)
-	if tab.Len() != 1 {
-		t.Error("Remove failed")
-	}
-}
-
-func TestTableUpdateReplaces(t *testing.T) {
-	tab := NewTable(1)
-	tab.Update(Link{To: 2, Forward: 0.2})
-	tab.Update(Link{To: 2, Forward: 0.9})
-	l, _ := tab.Link(2)
-	if l.Forward != 0.9 {
-		t.Error("update did not replace")
-	}
-	if tab.Len() != 1 {
-		t.Error("duplicate entries")
-	}
-}
-
-func TestTableExpire(t *testing.T) {
-	tab := NewTable(1)
-	tab.Update(Link{To: 2, Forward: 1, UpdatedAt: 0})
-	tab.Update(Link{To: 3, Forward: 1, UpdatedAt: 9 * time.Second})
-	n := tab.Expire(10*time.Second, 5*time.Second)
-	if n != 1 || tab.Len() != 1 {
-		t.Errorf("expired %d, len %d", n, tab.Len())
-	}
-	if _, ok := tab.Link(3); !ok {
-		t.Error("fresh link expired")
-	}
-}
-
-func TestBestNeighbor(t *testing.T) {
-	tab := NewTable(1)
-	if _, ok := tab.BestNeighbor(); ok {
-		t.Error("empty table produced a best neighbour")
-	}
-	tab.Update(Link{To: 2, Forward: 0.5})
-	tab.Update(Link{To: 3, Forward: 0.9})
-	tab.Update(Link{To: 4, Forward: 0.7})
-	best, ok := tab.BestNeighbor()
-	if !ok || best != 3 {
-		t.Errorf("best = %v", best)
-	}
-}
-
-func TestBestNeighborTieBreak(t *testing.T) {
-	tab := NewTable(1)
-	tab.Update(Link{To: 9, Forward: 0.8})
-	tab.Update(Link{To: 2, Forward: 0.8})
-	best, _ := tab.BestNeighbor()
-	if best != 2 {
-		t.Errorf("tie should break to smaller id, got %v", best)
-	}
-}
 
 func TestPenaltyPaperExample(t *testing.T) {
 	// §4.2: p1=0.8, p2=0.6, δ=0.25 → penalty 5/12, overhead 1/3.

@@ -11,8 +11,8 @@ import (
 
 // This file is the stream-framing half of the wire contract: the binary
 // codecs above serialize one collector to bytes, and frames carry those
-// byte payloads over any ordered byte stream (a TCP connection, a
-// subprocess pipe) with explicit boundaries. The cluster runtime
+// byte payloads over any ordered byte stream (a TCP connection, an
+// in-memory pipe) with explicit boundaries. The cluster runtime
 // (internal/cluster) speaks length-prefixed frames of protocol messages
 // whose collector payloads are the bit-exact codecs, so the cross-process
 // merge guarantee survives the network unchanged.

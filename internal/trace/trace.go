@@ -5,15 +5,13 @@
 // propagation model and simply references the trace — the same
 // architecture as the paper's modified ns-3 harness.
 //
-// Traces serialise through the version-tagged bit-exact binary codec in
-// codec.go for storage and exchange between cmd/tracegen, the
-// benchmarks, and the fleet.
+// Traces live only in memory: internal/channel generates each one from
+// its seed where it is replayed, so no trace is ever stored or shipped.
 package trace
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"time"
@@ -54,8 +52,7 @@ type FateTrace struct {
 	Slots     []Slot
 
 	// invSlot/invMax implement SlotIndex's division-free fast path (see
-	// Prepare); both zero means "divide". They are derived state, so the
-	// codec skips them and decoding recomputes them.
+	// Prepare); both zero means "divide".
 	invSlot uint64
 	invMax  int64
 }
@@ -63,9 +60,9 @@ type FateTrace struct {
 // Prepare precomputes the fixed-point reciprocal that lets SlotIndex
 // map a time to its slot with a multiply instead of a 64-bit division —
 // the last division in the MAC simulator's per-attempt path (ratesim.Run
-// calls At twice per attempt). The channel generator and the trace
-// reader call it on every trace they produce; hand-assembled traces work
-// without it, on the dividing path.
+// calls At twice per attempt). The channel generator calls it on every
+// trace it produces; hand-assembled traces work without it, on the
+// dividing path.
 //
 // The fast path computes floor(at/d) as the high 64 bits of
 // at · m where m = floor(2⁶⁴/d)+1. Writing e = m·d − 2⁶⁴ (so
@@ -171,18 +168,6 @@ func (t *FateTrace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Encode serialises the trace as one framed record of the binary codec
-// (see codec.go); Read is its inverse.
-func (t *FateTrace) Encode(w io.Writer) error {
-	return t.WriteBinary(w)
-}
-
-// Read deserialises a trace written by Encode: the trace is validated
-// and its derived replay state prepared.
-func Read(r io.Reader) (*FateTrace, error) {
-	return ReadBinary(r)
 }
 
 // PacketTrace is a fine-grained per-packet fate record used by the

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -94,38 +93,6 @@ func TestValidate(t *testing.T) {
 	bad3.Slots[1].Prob[2] = 1.5
 	if bad3.Validate() == nil {
 		t.Error("out-of-range probability accepted")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tr := mkTrace(20)
-	tr.Seed = 99
-	tr.ExtraLoss = 0.02
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Env != tr.Env || got.Seed != 99 || got.ExtraLoss != 0.02 || len(got.Slots) != 20 {
-		t.Errorf("round trip mismatch: %+v", got)
-	}
-	if got.Slots[7] != tr.Slots[7] {
-		t.Error("slot content mismatch")
-	}
-}
-
-func TestReadRejectsInvalid(t *testing.T) {
-	tr := mkTrace(2)
-	tr.Slots[0].Prob[0] = -1
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err == nil {
-		t.Error("invalid trace encoded without error")
-	}
-	if _, err := Read(bytes.NewReader([]byte("not a trace"))); err == nil {
-		t.Error("garbage decoded without error")
 	}
 }
 
