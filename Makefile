@@ -331,9 +331,10 @@ cover:
 	done; \
 	exit $$status
 
-# Short fuzz pass over the nine fuzz targets: the stats codecs, the
+# Short fuzz pass over the ten fuzz targets: the stats codecs, the
 # cluster wire layer (framing, message decoding, the session
-# handshake), and the hint protocol parsers (each target runs alone, as
+# handshake), the coordinator's admission of job specs, and the hint
+# protocol parsers (each target runs alone, as
 # `go test -fuzz` requires). CI runs the same targets at a reduced FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
@@ -344,6 +345,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadFrameSum -fuzztime $(FUZZTIME) ./internal/stats/
 	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz FuzzHandshake -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -fuzz FuzzAdmit -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz FuzzParseTrailer -fuzztime $(FUZZTIME) ./internal/hintproto/
 	$(GO) test -fuzz FuzzParseHintFrame -fuzztime $(FUZZTIME) ./internal/hintproto/
 

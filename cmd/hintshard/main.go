@@ -24,11 +24,13 @@
 //	sample of shards (fraction F of each job, at least one) on a
 //	second worker and byte-compares the partials: any divergence is a
 //	hard fault. -report-dir also writes each report to jobN-<id>.out
-//	for scripted diffing. Without -listen the fleet is -procs
-//	goroutine workers in this process (default: one per shard of the
-//	widest job, at most one per CPU); with -listen it is every worker
-//	process that connects over TCP (-connect), from this machine or
-//	any other.
+//	for scripted diffing. At most cluster.MaxOpenJobs (256) jobs wait
+//	for their reports at once: a campaign of more initial jobs is
+//	refused at start, and a POST /jobs past the cap is answered 429.
+//	Without -listen the fleet is -procs goroutine workers in this
+//	process (default: one per shard of the widest job, at most one per
+//	CPU); with -listen it is every worker process that connects over
+//	TCP (-connect), from this machine or any other.
 //
 //	    hintshard -run fig3-5 -shards 8 [-procs 3] [-scale S] [-seed N]
 //	    hintshard -run fig3-5 -shards 8 -listen :7432 [-addr-file F]
@@ -141,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.noSteal, "no-steal", false, "coordinator: disable speculative re-dispatch of in-flight shards")
 	fs.BoolVar(&o.verbose, "v", false, "log dispatches, steals, and worker deaths to stderr")
 	fs.IntVar(&o.dieAfter, "die-after-assign", 0, "worker fault injection: exit abruptly on receiving the `n`-th assignment")
-	fs.BoolVar(&o.camp, "campaign", false, "run a campaign: queue the job specs (or @file) given as arguments through one fleet")
+	fs.BoolVar(&o.camp, "campaign", false, fmt.Sprintf("run a campaign: queue the job specs (or @file) given as arguments through one fleet (at most %d jobs waiting for their reports; a longer campaign is refused)", cluster.MaxOpenJobs))
 	fs.Float64Var(&o.verify, "verify", 0, "coordinator: re-execute this `fraction` of each job's shards on a second worker and byte-compare (0 = off)")
 	fs.StringVar(&o.reportDir, "report-dir", "", "coordinator: also write each report to `dir`/jobN-<id>.out for scripted diffing")
 	fs.StringVar(&o.statAddr, "status-addr", "", "coordinator: serve the HTTP control plane (/status, /metrics, POST /jobs) on `addr` (e.g. 127.0.0.1:0)")
@@ -475,11 +477,11 @@ func (o *options) runFleet(specs []string) int {
 	}
 
 	// Default in-process fleet size: enough workers to saturate the
-	// widest job, but no more than there are CPUs. Workers past the CPU
-	// count each fan out to one goroutine, and once the queue drains
-	// their speculative copies of in-flight shards compete with the
-	// originals for the same CPUs. On 2 CPUs, 3, 8 and 16 workers ran
-	// fig3-7 slower than 2 did, and 4 workers no faster.
+	// widest job, but no more than there are CPUs. The cap was measured
+	// when idle workers copied every in-flight shard; with only
+	// stragglers copied, K workers ran K = 3 faster on 2 CPUs (DESIGN.md,
+	// "Transport interface"), and the cap stays until a wider box is
+	// measured too.
 	procs := o.procs
 	if procs <= 0 {
 		for _, j := range jobs {

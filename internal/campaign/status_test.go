@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -260,5 +261,90 @@ func TestCampaignMutationsViaHTTP(t *testing.T) {
 		if e.rep != standalone(t, e.job) {
 			t.Errorf("job %d (%s) report differs from standalone run", e.ji, e.job.Experiment)
 		}
+	}
+}
+
+// TestSubmitRefusedAtJobCap: a coordinator holds at most
+// cluster.MaxOpenJobs jobs admitted but not yet delivered. At the cap,
+// Control.Submit is refused with ErrQueueFull and nothing is admitted,
+// the same request over HTTP answers 429, and a cancelled job frees its
+// slot. Initial jobs count against the same cap.
+func TestSubmitRefusedAtJobCap(t *testing.T) {
+	job := Job{Experiment: "sec4-2", Scale: 0.1, Seed: 42, Shards: 1}
+	initial := make([]Job, cluster.MaxOpenJobs+1)
+	for i := range initial {
+		initial[i] = job
+	}
+	if _, _, err := Run(cluster.NewInProcess(0, nil), initial, Options{}); !errors.Is(err, cluster.ErrQueueFull) {
+		t.Fatalf("run of %d initial jobs: %v, want ErrQueueFull", len(initial), err)
+	}
+
+	ctl := cluster.NewControl()
+	srv, err := ctlplane.Start("127.0.0.1:0", ctlplane.Config{
+		Service: "hintshard",
+		Control: ctl,
+		Submit: func(spec string) (int, error) {
+			j, err := ParseJob(spec, job)
+			if err != nil {
+				return 0, err
+			}
+			return ctl.Submit(j)
+		},
+	})
+	if err != nil {
+		t.Fatalf("ctlplane: %v", err)
+	}
+	defer srv.Close()
+	gate := make(chan struct{})
+	tr := &gatedCampaignTransport{inner: startTransport(t, "inproc", 2, false), gate: gate}
+	done := make(chan struct{})
+	var emitted int
+	var runErr error
+	go func() {
+		defer close(done)
+		_, _, runErr = Run(tr, []Job{job}, Options{
+			ShardWorkers: 1,
+			Control:      ctl,
+			Emit: func(int, Job, *experiments.Report) error {
+				emitted++
+				return nil
+			},
+		})
+	}()
+
+	for k := 1; k < cluster.MaxOpenJobs; k++ {
+		if _, err := ctl.Submit(job); err != nil {
+			t.Fatalf("submit %d of %d: %v", k, cluster.MaxOpenJobs, err)
+		}
+	}
+	if _, err := ctl.Submit(job); !errors.Is(err, cluster.ErrQueueFull) {
+		t.Fatalf("submit past the cap: %v, want ErrQueueFull", err)
+	}
+	resp, err := http.Post("http://"+srv.Addr()+"/jobs", "text/plain", strings.NewReader("sec4-2"))
+	if err != nil {
+		t.Fatalf("POST /jobs: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("POST /jobs past the cap = %d %q, want 429", resp.StatusCode, body)
+	}
+	if s := ctl.Snapshot(); len(s.Jobs) != cluster.MaxOpenJobs || s.Stats.Submitted != cluster.MaxOpenJobs-1 {
+		t.Fatalf("after the refusals: %d jobs, %d submitted; want %d and %d", len(s.Jobs), s.Stats.Submitted, cluster.MaxOpenJobs, cluster.MaxOpenJobs-1)
+	}
+	if err := ctl.Cancel(1); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	if ji, err := ctl.Submit(job); err != nil || ji != cluster.MaxOpenJobs {
+		t.Fatalf("submit after a cancel = (%d, %v), want job %d", ji, err, cluster.MaxOpenJobs)
+	}
+
+	close(gate)
+	<-done
+	if runErr != nil {
+		t.Fatalf("campaign: %v", runErr)
+	}
+	if emitted != cluster.MaxOpenJobs {
+		t.Errorf("emitted %d reports, want %d", emitted, cluster.MaxOpenJobs)
 	}
 }

@@ -246,11 +246,13 @@ func TestRunValidatesOptions(t *testing.T) {
 	}
 }
 
-// TestSpeculativeCopyCoversDyingWorker: once a shard has been stolen,
-// the original holder's death must not charge the failure budget — the
-// live copy completes the shard even with -retries 0. The hello/assign/
-// steal/death order is forced by channels, so the scenario is exact,
-// not probabilistic.
+// TestSpeculativeCopyCoversDyingWorker: once a straggling shard has
+// been stolen, the original holder's death must not charge the failure
+// budget — the live copy completes the shard even with -retries 0. The
+// thief first completes the other shard, so the job has a median
+// shard time for the silent holder to overrun. The hello/assign/steal/
+// death order is forced by channels, so the scenario is exact, not
+// probabilistic.
 func TestSpeculativeCopyCoversDyingWorker(t *testing.T) {
 	exp, _ := experiments.ByID("fig2-2")
 	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
@@ -258,32 +260,30 @@ func TestSpeculativeCopyCoversDyingWorker(t *testing.T) {
 	stolen := make(chan struct{})
 	tr := NewInProcess(2, func(i int, c Conn) {
 		if i == 0 {
-			// Takes the only shard, then dies — but only after worker 1
-			// has stolen a copy of it.
+			// Takes shard 0, then dies — but only after worker 1 has
+			// stolen a copy of it.
 			Handshake(c, "doomed", "")
-			if _, err := recvAssign(c); err != nil {
-				t.Errorf("doomed worker: %v", err)
+			if a, err := recvAssign(c); err != nil || a.Shard != 0 {
+				t.Errorf("doomed worker: assignment %+v, %v; want shard 0", a, err)
 				return
 			}
 			close(w0assigned)
 			<-stolen
 			return // connection drops mid-shard
 		}
-		// Joins only after the shard is held, so its first assignment is
-		// necessarily a stolen copy.
+		// Joins only after shard 0 is held: it runs shard 1, and its
+		// next assignment is necessarily a stolen copy of shard 0.
 		<-w0assigned
 		so := ServeOptions{Name: "thief", Workers: 1}
-		fired := false
-		so.OnAssign = func(Assign) error {
-			if !fired {
-				fired = true
+		so.OnAssign = func(a Assign) error {
+			if a.Shard == 0 {
 				close(stolen)
 			}
 			return nil
 		}
 		Serve(c, so)
 	})
-	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{
+	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
 		Retries: 0, // any charged failure would abort
 	})
 	if err != nil {
@@ -302,7 +302,9 @@ func TestSpeculativeCopyCoversDyingWorker(t *testing.T) {
 
 // TestHungStragglerCutOffAfterDrainTimeout: a worker that hangs forever
 // on a shard another worker already completed must not block the run —
-// the drain deadline cuts it off and Run returns the merged report.
+// the drain deadline cuts it off and Run returns the merged report. The
+// other worker first completes shard 1, so the hung holder of shard 0
+// crosses the straggler threshold and is stolen from.
 func TestHungStragglerCutOffAfterDrainTimeout(t *testing.T) {
 	exp, _ := experiments.ByID("fig2-2")
 	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
@@ -327,7 +329,7 @@ func TestHungStragglerCutOffAfterDrainTimeout(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		rep, _, runErr = runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{
+		rep, _, runErr = runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
 			Retries:      0,
 			DrainTimeout: 200 * time.Millisecond,
 		})
@@ -342,6 +344,84 @@ func TestHungStragglerCutOffAfterDrainTimeout(t *testing.T) {
 	}
 	if got := rep.String(); got != base {
 		t.Errorf("report differs:\n%s\nvs\n%s", base, got)
+	}
+}
+
+// TestStragglerStolenLoserDiscarded: worker B holds shard 0 and
+// computes nothing; worker A completes shard 1, steals shard 0 once B's
+// copy has run past the straggler threshold, and completes it too. The
+// report goes out on A's copy; B answers only after that, and its
+// result for the completed shard is discarded and charges nothing. Run
+// returns as soon as B answers, with the drain timeout an hour away.
+func TestStragglerStolenLoserDiscarded(t *testing.T) {
+	exp, _ := experiments.ByID("fig2-2")
+	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+	bHolds := make(chan struct{})
+	delivered := make(chan struct{})
+	tr := NewInProcess(2, func(i int, c Conn) {
+		if i == 1 {
+			// Joins only after B holds shard 0, so it runs shard 1.
+			<-bHolds
+			Serve(c, ServeOptions{Name: "A", Workers: 1})
+			return
+		}
+		Handshake(c, "B", "")
+		a, err := recvAssign(c)
+		if err != nil || a.Shard != 0 {
+			t.Errorf("B: assignment %+v, %v; want shard 0", a, err)
+			return
+		}
+		close(bHolds)
+		quit := make(chan struct{})
+		defer close(quit)
+		go func() {
+			select {
+			case <-delivered:
+				c.Send(&ShardDone{Job: a.Job, Shard: a.Shard})
+			case <-quit:
+			}
+		}()
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				return
+			}
+			switch m := m.(type) {
+			case *Ping:
+				c.Send(&Pong{Seq: m.Seq})
+			case *Stop:
+				return
+			}
+		}
+	})
+	done := make(chan struct{})
+	var rep *experiments.Report
+	var stats RunStats
+	var err error
+	go func() {
+		defer close(done)
+		rep, stats, err = runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
+			Retries:      0, // any charged failure would abort
+			DrainTimeout: time.Hour,
+			Emit: func(int, Job, *experiments.Report) error {
+				close(delivered)
+				return nil
+			},
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("Run did not return once the losing copy answered")
+	}
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := rep.String(); got != base {
+		t.Errorf("report differs:\n%s\nvs\n%s", base, got)
+	}
+	if stats.Stolen != 1 || stats.Requeued != 0 || stats.Discarded != 1 {
+		t.Errorf("stolen=%d requeued=%d discarded=%d, want 1/0/1", stats.Stolen, stats.Requeued, stats.Discarded)
 	}
 }
 

@@ -40,6 +40,34 @@ type Job struct {
 // about 7× headroom (DESIGN.md, "Admission bounds").
 const MaxShards = 4096
 
+// MaxOpenJobs bounds the jobs a coordinator holds admitted but neither
+// delivered nor cancelled. Each one keeps per-shard state (and, once it
+// runs, its results) until its report is out, so without the bound a
+// coordinator fed over POST /jobs grows without limit. DESIGN.md
+// ("Admission bounds") sizes it from the campaigns the repository runs.
+const MaxOpenJobs = 256
+
+// ErrQueueFull is admission's refusal of a job beyond MaxOpenJobs; a
+// control plane answers it with 429, since the same job may be
+// admitted once earlier reports are out.
+var ErrQueueFull = errors.New("cluster: job queue full")
+
+// checkJob is admission's per-job check: a registered experiment and
+// 1 ≤ Shards ≤ MaxShards, so admitting a job never sizes per-shard
+// state beyond the cap. The error completes "job N".
+func checkJob(j Job) error {
+	if _, ok := experiments.ByID(j.Experiment); !ok {
+		return fmt.Errorf("names unknown experiment %q", j.Experiment)
+	}
+	if j.Shards < 1 {
+		return fmt.Errorf("(%s) has no shard count", j.Experiment)
+	}
+	if j.Shards > MaxShards {
+		return fmt.Errorf("(%s) asks for %d shards, above the cap of %d", j.Experiment, j.Shards, MaxShards)
+	}
+	return nil
+}
+
 // Options configures one Run; every setting applies to every job.
 type Options struct {
 	// ShardWorkers bounds the goroutines each assignment fans across
@@ -53,9 +81,11 @@ type Options struct {
 	// before the run aborts. Negative means no retries.
 	Retries int
 	// NoSteal disables speculative re-dispatch of in-flight shards to
-	// idle workers. Stealing is on by default: a duplicate costs only
-	// wasted cycles (bytes are identical either way and the first result
-	// wins) and caps straggler latency.
+	// idle workers. Stealing is on by default, and takes only a
+	// straggler: a shard whose live copy has run more than twice its
+	// job's median completed-shard time. A duplicate costs only wasted
+	// cycles (bytes are identical either way and the first result wins)
+	// and caps straggler latency.
 	NoSteal bool
 	// Verify is the verification sampling fraction in [0, 1]: 0 trusts
 	// worker results; any positive fraction re-executes each job's
@@ -200,7 +230,10 @@ type workerState struct {
 	curJob    int
 	curShard  int
 	curVerify bool
-	loops     []*experiments.LoopPartial
+	// assignedAt is when the in-flight assignment went out, the start
+	// the straggler rule measures from.
+	assignedAt time.Time
+	loops      []*experiments.LoopPartial
 	// out feeds the connection's sender goroutine; closed on teardown.
 	// The sender closes conn after draining, so a Stop queued before
 	// teardown still reaches the worker.
@@ -251,6 +284,8 @@ type jobState struct {
 	// results of in-flight jobs only.
 	partials []*experiments.Partial
 	failures []int
+	// times feeds the straggler rule.
+	times shardTimes
 	// verify maps sampled shard index → verification state; sampled
 	// lists the sampled indices in ascending order (the deterministic
 	// iteration order for speculative re-dispatch); verifyLeft counts
@@ -305,8 +340,8 @@ func newNonce() string {
 // returns one result per job, in submission order; a single experiment
 // is a one-job run. Every job owns a shard queue; a worker going idle
 // takes the next fresh shard of the earliest incomplete job, then a
-// pending verification re-run, then a speculative copy stolen from a
-// straggler — so shards of different experiments interleave in one
+// pending verification re-run, then a speculative copy of a straggler
+// — so shards of different experiments interleave in one
 // multi-queue and the tail of job i overlaps the head of job i+1. Shards
 // lost to dying workers re-dispatch within the per-shard retry budget,
 // the first completion of each shard wins, and each job's completed
@@ -350,19 +385,19 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 
 	// admit validates a job and queues it behind every earlier one,
 	// with its verification sample. Jobs given at start and jobs
-	// submitted through the Control both come in here.
+	// submitted through the Control both come in here. open counts the
+	// admitted jobs neither delivered nor cancelled.
 	var states []*jobState
+	open := 0
 	admit := func(j Job) (int, error) {
 		ji := len(states)
-		if _, ok := experiments.ByID(j.Experiment); !ok {
-			return 0, fmt.Errorf("cluster: job %d names unknown experiment %q", ji, j.Experiment)
+		if err := checkJob(j); err != nil {
+			return 0, fmt.Errorf("cluster: job %d %w", ji, err)
 		}
-		if j.Shards < 1 {
-			return 0, fmt.Errorf("cluster: job %d (%s) has no shard count", ji, j.Experiment)
+		if open >= MaxOpenJobs {
+			return 0, fmt.Errorf("cluster: job %d (%s): %w: %d jobs admitted and not yet delivered", ji, j.Experiment, ErrQueueFull, open)
 		}
-		if j.Shards > MaxShards {
-			return 0, fmt.Errorf("cluster: job %d (%s) asks for %d shards, above the cap of %d", ji, j.Experiment, j.Shards, MaxShards)
-		}
+		open++
 		js := &jobState{
 			job:      j,
 			queue:    parallel.NewShardQueue(j.Shards),
@@ -594,6 +629,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 				}
 			}
 			js.merged = nil
+			open--
 			nextEmit++
 		}
 	}
@@ -677,6 +713,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 	assign := func(w *workerState, ji, k int, verify bool) {
 		js := states[ji]
 		w.curJob, w.curShard, w.curVerify = ji, k, verify
+		w.assignedAt = time.Now()
 		w.loops = nil
 		send(w, &Assign{
 			Job:        ji,
@@ -689,10 +726,36 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 		})
 	}
 
+	// speculable lists the live copies the straggler rule may duplicate:
+	// the only live copy of an incomplete shard (none under NoSteal), and
+	// the only live copy of an unresolved verification re-run.
+	speculable := func() []liveCopy {
+		var out []liveCopy
+		for _, h := range workers {
+			if h.dead || h.curShard < 0 {
+				continue
+			}
+			js := states[h.curJob]
+			if js.cancelled {
+				continue
+			}
+			if h.curVerify {
+				if vs := js.verify[h.curShard]; vs.resolved || vs.inFlight != 1 {
+					continue
+				}
+			} else if o.NoSteal || !js.queue.Stealable(h.curShard) {
+				continue
+			}
+			out = append(out, liveCopy{job: h.curJob, shard: h.curShard, verify: h.curVerify, since: h.assignedAt})
+		}
+		return out
+	}
+	threshold := func(ji int) (time.Duration, bool) { return states[ji].times.threshold() }
+
 	// dispatch hands the next unit of work to a free worker — the
 	// earliest incomplete job's next fresh shard, then a pending
-	// verification re-run, then a speculative copy stolen from a
-	// straggler — or parks it idle. Fresh shards of job i always beat
+	// verification re-run, then a speculative copy of a straggler — or
+	// parks it idle. Fresh shards of job i always beat
 	// fresh shards of job i+1, so the campaign progresses in submission
 	// order while never idling a worker that job i can no longer feed.
 	dispatch := func(w *workerState) {
@@ -728,43 +791,57 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 				return
 			}
 		}
-		if !o.NoSteal {
-			for ji, js := range states {
-				if js.cancelled {
-					continue
-				}
-				if shard, ok := js.queue.Steal(); ok {
-					stats.Stolen++
-					logf("cluster: worker %s stealing in-flight job %d shard %v", w.name, ji, shard)
-					assign(w, ji, shard.Index, false)
-					return
-				}
-			}
-		}
-		// Speculative verification copy: with nothing else assignable,
-		// duplicate an in-flight re-run (two live copies max, first
-		// resolution wins) so a hung holder cannot stall the campaign —
-		// the verification analogue of stealing. This is a liveness
-		// mechanism, so it ignores NoSteal; any worker qualifies (the
-		// different-worker preference already had its chance when the
-		// re-run was first dispatched).
-		for ji, js := range states {
-			if js.cancelled || js.verifyLeft == 0 {
-				continue
-			}
-			for _, k := range js.sampled {
-				vs := js.verify[k]
-				if vs.resolved || vs.first == nil || vs.inFlight != 1 {
-					continue
-				}
-				vs.inFlight++
-				stats.Stolen++
-				logf("cluster: worker %s speculatively duplicating the verification re-run of job %d shard %d/%d", w.name, ji, k, js.job.Shards)
-				assign(w, ji, k, true)
+		// Speculation: a second copy of a straggler, a fresh shard or a
+		// verification re-run whose only live copy has run past its job's
+		// threshold; the first result wins and the other copy's is
+		// discarded. For a verification re-run this is a liveness
+		// mechanism (a hung verifier cannot stall the campaign), so it
+		// ignores NoSteal, and any worker qualifies (the different-worker
+		// preference had its chance when the re-run was first
+		// dispatched).
+		now := time.Now()
+		copies := speculable()
+		if pick, _ := pickStraggler(now, copies, threshold); pick >= 0 {
+			c := copies[pick]
+			js := states[c.job]
+			if c.verify {
+				js.verify[c.shard].inFlight++
+			} else if _, ok := js.queue.Steal(c.shard); !ok {
+				abort(fmt.Errorf("cluster: internal error: job %d shard %d/%d listed as a straggler but not stealable", c.job, c.shard, js.job.Shards))
 				return
 			}
+			stats.Stolen++
+			logf("cluster: worker %s speculating on job %d shard %d/%d (verify=%v): its copy has run %v, over %d× the job's median shard time",
+				w.name, c.job, c.shard, js.job.Shards, c.verify, now.Sub(c.since).Round(time.Millisecond), stragglerFactor)
+			assign(w, c.job, c.shard, c.verify)
+			return
 		}
 		idle = append(idle, w)
+	}
+
+	// A parked worker looks again when the first in-flight copy crosses
+	// its job's threshold (at once if one already has): the speculation
+	// timer fires then, and specC is nil while it is unarmed.
+	specTimer := time.NewTimer(time.Hour)
+	specTimer.Stop()
+	var specC <-chan time.Time
+	var specAt time.Time
+	armSpeculation := func() {
+		var next time.Time
+		if len(idle) > 0 {
+			now := time.Now()
+			var pick int
+			if pick, next = pickStraggler(now, speculable(), threshold); pick >= 0 {
+				next = now
+			}
+		}
+		if next.IsZero() {
+			specTimer.Stop()
+			specC = nil
+		} else if specC == nil || !next.Equal(specAt) {
+			specTimer.Reset(time.Until(next))
+			specAt, specC = next, specTimer.C
+		}
 	}
 
 	// pump re-dispatches parked workers after a queue refills.
@@ -937,9 +1014,15 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 	publish(false) // initial snapshot: jobs visible before the first event
 
 	for abortErr == nil && !finished() {
+		armSpeculation()
 		var ev event
 		select {
 		case ev = <-events:
+		case <-specC:
+			specC = nil
+			pump()
+			publish(false)
+			continue
 		case <-drainDeadline:
 			for _, w := range workers {
 				if !w.dead && w.curShard >= 0 {
@@ -991,6 +1074,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 					js.cancelled = true
 					js.verifyLeft = 0
 					js.verifyQueue = nil
+					open--
 					stats.Cancelled++
 					logf("cluster: control: cancelled job %d (%s)", ji, js.job.Experiment)
 					r.reply <- ctlReply{job: ji}
@@ -1128,6 +1212,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 				js := states[ji]
 				loops := w.loops
 				wasVerify := w.curVerify
+				took := time.Since(w.assignedAt)
 				w.curJob, w.curShard, w.curVerify = -1, -1, false
 				w.loops = nil
 				w.shardsDone++
@@ -1181,6 +1266,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 					break
 				}
 				if js.queue.Complete(m.Shard) {
+					js.times.add(took)
 					js.partials[m.Shard] = &experiments.Partial{
 						Version:    experiments.PartialVersion,
 						Job:        ji,
@@ -1251,6 +1337,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 		publish(false)
 	}
 	publish(true)
+	specTimer.Stop()
 
 	close(loopDone)
 	graceful := abortErr == nil

@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -183,7 +184,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, err := s.cfg.Submit(spec)
 	if err != nil {
 		s.cfg.Logf("ctlplane: submit %q rejected: %v", spec, err)
-		http.Error(w, err.Error(), http.StatusConflict)
+		code := http.StatusConflict
+		if errors.Is(err, cluster.ErrQueueFull) {
+			// Not a bad job: the queue is full now, and the same request
+			// is admitted once earlier reports are out.
+			code = http.StatusTooManyRequests
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	s.cfg.Logf("ctlplane: submitted job %d (%s)", job, spec)

@@ -19,10 +19,10 @@ import (
 // coordinator makes:
 //
 //	Next     pop the next undispatched shard;
-//	Steal    re-dispatch an in-flight shard speculatively (straggler
-//	         smoothing: identical inputs produce identical partials, so
-//	         whichever copy finishes first is used and the rest are
-//	         discarded);
+//	Steal    re-dispatch a given in-flight shard speculatively (the
+//	         caller picks the straggler; identical inputs produce
+//	         identical partials, so whichever copy finishes first is
+//	         used and the rest are discarded);
 //	Requeue  return a dispatch that died with its worker.
 //
 // All methods are safe for concurrent use.
@@ -81,31 +81,31 @@ func (q *ShardQueue) Next() (Shard, bool) {
 	return Shard{Index: k, Count: q.count}, true
 }
 
-// Steal picks an incomplete in-flight shard for speculative re-dispatch:
-// the lowest-index shard with the fewest live copies, skipping shards
-// already at the copy bound. It returns false while undispatched shards
-// remain (drain the queue before duplicating work) and once every shard
-// is complete.
-func (q *ShardQueue) Steal() (Shard, bool) {
+// Steal re-dispatches in-flight shard k speculatively, the straggler
+// the caller chose. It refuses (returns false) when Stealable(k) is
+// false.
+func (q *ShardQueue) Steal(k int) (Shard, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.pending) > 0 {
+	if !q.stealable(k) {
 		return Shard{}, false
 	}
-	best, bestCopies := -1, maxCopies
-	for k := 0; k < q.count; k++ {
-		if q.done[k] || q.outstanding[k] == 0 {
-			continue
-		}
-		if q.outstanding[k] < bestCopies {
-			best, bestCopies = k, q.outstanding[k]
-		}
-	}
-	if best < 0 {
-		return Shard{}, false
-	}
-	q.outstanding[best]++
-	return Shard{Index: best, Count: q.count}, true
+	q.outstanding[k]++
+	return Shard{Index: k, Count: q.count}, true
+}
+
+// Stealable reports whether Steal(k) would copy shard k: no shard is
+// still undispatched (drain the queue before duplicating work), and k
+// is incomplete, has a live copy, and is below the copy bound.
+func (q *ShardQueue) Stealable(k int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.stealable(k)
+}
+
+func (q *ShardQueue) stealable(k int) bool {
+	q.check(k)
+	return len(q.pending) == 0 && !q.done[k] && q.outstanding[k] > 0 && q.outstanding[k] < maxCopies
 }
 
 // Requeue returns one dispatch of shard k (a worker died or reported

@@ -55,8 +55,8 @@ func TestShardQueueCompletedAndStates(t *testing.T) {
 	q.Next()
 	want(ShardInFlight, ShardQueued)
 	q.Next()
-	if sh, ok := q.Steal(); !ok || sh.Index != 0 {
-		t.Fatalf("Steal() = %v %v, want shard 0", sh, ok)
+	if sh, ok := q.Steal(0); !ok || sh.Index != 0 {
+		t.Fatalf("Steal(0) = %v %v, want shard 0", sh, ok)
 	}
 	want(ShardInFlight, ShardInFlight)
 	if q.Completed(0) {
@@ -93,31 +93,48 @@ func TestShardQueueRequeueFrontOfLine(t *testing.T) {
 
 func TestShardQueueStealSemantics(t *testing.T) {
 	q := NewShardQueue(2)
-	if _, ok := q.Steal(); ok {
+	// steal is q.Steal, checking that Stealable predicts its answer.
+	steal := func(k int) (Shard, bool) {
+		t.Helper()
+		want := q.Stealable(k)
+		sh, ok := q.Steal(k)
+		if ok != want {
+			t.Fatalf("Stealable(%d) = %v, but Steal(%d) answered %v", k, want, k, ok)
+		}
+		return sh, ok
+	}
+	if _, ok := steal(0); ok {
 		t.Fatal("Steal succeeded while undispatched shards remain")
 	}
 	a, _ := q.Next()
+	if _, ok := steal(a.Index); ok {
+		t.Fatal("Steal succeeded while shard 1 is still undispatched")
+	}
 	b, _ := q.Next()
-	// Both in flight: steal picks the lowest index with fewest copies.
-	s1, ok := q.Steal()
-	if !ok || s1.Index != a.Index {
-		t.Fatalf("Steal() = %v %v, want shard %d", s1, ok, a.Index)
+	// Both in flight: a steal copies exactly the shard asked for.
+	s1, ok := steal(b.Index)
+	if !ok || s1.Index != b.Index {
+		t.Fatalf("Steal(%d) = %v %v, want shard %d", b.Index, s1, ok, b.Index)
 	}
-	// Shard a now has 2 copies (the bound); next steal must pick b.
-	s2, ok := q.Steal()
-	if !ok || s2.Index != b.Index {
-		t.Fatalf("second Steal() = %v %v, want shard %d", s2, ok, b.Index)
+	// Shard b now has 2 copies (the bound); a third is refused.
+	if _, ok := steal(b.Index); ok {
+		t.Fatal("Steal exceeded the per-shard copy bound")
 	}
-	// Everything at the copy bound: no more stealing.
-	if _, ok := q.Steal(); ok {
+	s2, ok := steal(a.Index)
+	if !ok || s2.Index != a.Index {
+		t.Fatalf("Steal(%d) = %v %v, want shard %d", a.Index, s2, ok, a.Index)
+	}
+	if _, ok := steal(a.Index); ok {
 		t.Fatal("Steal exceeded the per-shard copy bound")
 	}
 	// Completion frees nothing for stealing.
 	q.Complete(a.Index)
 	q.Complete(a.Index) // duplicate result
 	q.Complete(b.Index)
-	if _, ok := q.Steal(); ok {
-		t.Fatal("Steal succeeded after completion")
+	for _, k := range []int{a.Index, b.Index} {
+		if _, ok := steal(k); ok {
+			t.Fatalf("Steal(%d) succeeded after completion", k)
+		}
 	}
 	if !q.Done() {
 		t.Fatal("not Done")
@@ -128,7 +145,7 @@ func TestShardQueueDuplicateCompleteAndLateRequeue(t *testing.T) {
 	q := NewShardQueue(2)
 	a, _ := q.Next()
 	q.Next()
-	st, _ := q.Steal() // second copy of a
+	st, _ := q.Steal(a.Index) // second copy of a
 	if st.Index != a.Index {
 		t.Fatalf("stole %v, want %v", st, a)
 	}
@@ -150,8 +167,7 @@ func TestShardQueueRequeueThenCompleteDropsPendingRetry(t *testing.T) {
 	q := NewShardQueue(2)
 	a, _ := q.Next()
 	q.Next()
-	st, _ := q.Steal() // copy 2 of shard a
-	_ = st
+	q.Steal(a.Index) // copy 2 of shard a
 	// Copy 1 dies: one live copy remains, so nothing re-enters the
 	// queue (speculation covers the loss).
 	if live := q.Requeue(a.Index); live != 1 {
@@ -180,14 +196,19 @@ func TestShardQueueStealSkipsCompleted(t *testing.T) {
 	}
 	q.Complete(0)
 	q.Complete(2)
-	// Only shard 1 is still in flight; a steal must target it, never a
-	// completed shard.
-	st, ok := q.Steal()
+	// Only shard 1 is still in flight; a completed shard is never
+	// copied.
+	for _, k := range []int{0, 2} {
+		if _, ok := q.Steal(k); ok {
+			t.Fatalf("Steal(%d) copied a completed shard", k)
+		}
+	}
+	st, ok := q.Steal(1)
 	if !ok || st.Index != 1 {
-		t.Fatalf("Steal() = %v %v, want shard 1 (the only incomplete one)", st, ok)
+		t.Fatalf("Steal(1) = %v %v, want shard 1 (the only incomplete one)", st, ok)
 	}
 	q.Complete(1)
-	if _, ok := q.Steal(); ok {
+	if _, ok := q.Steal(1); ok {
 		t.Fatal("Steal succeeded with every shard complete")
 	}
 	if !q.Done() {
@@ -202,8 +223,8 @@ func TestShardQueueDoubleCompleteKeepsCountsExact(t *testing.T) {
 	q := NewShardQueue(2)
 	a, _ := q.Next()
 	q.Next()
-	if st, ok := q.Steal(); !ok || st.Index != a.Index {
-		t.Fatalf("Steal() = %v %v, want a copy of shard %d", st, ok, a.Index)
+	if st, ok := q.Steal(a.Index); !ok || st.Index != a.Index {
+		t.Fatalf("Steal(%d) = %v %v, want a copy of shard %d", a.Index, st, ok, a.Index)
 	}
 	if !q.Complete(a.Index) {
 		t.Fatal("first completion rejected")
@@ -229,7 +250,7 @@ func TestShardQueueBothCopiesDieThenRedispatch(t *testing.T) {
 	q := NewShardQueue(2)
 	a, _ := q.Next()
 	q.Next()
-	q.Steal() // copy 2 of shard a
+	q.Steal(a.Index) // copy 2 of shard a
 	q.Requeue(a.Index)
 	if live := q.Requeue(a.Index); live != 0 {
 		t.Fatalf("second Requeue returned %d live copies, want 0", live)
@@ -268,8 +289,8 @@ func TestShardQueueConcurrentWorkers(t *testing.T) {
 			defer wg.Done()
 			for {
 				sh, ok := q.Next()
-				if !ok {
-					sh, ok = q.Steal()
+				for k := 0; !ok && k < shards; k++ {
+					sh, ok = q.Steal(k)
 				}
 				if !ok {
 					if q.Done() {
