@@ -331,10 +331,11 @@ cover:
 	done; \
 	exit $$status
 
-# Short fuzz pass over the ten fuzz targets: the stats codecs, the
+# Short fuzz pass over the eleven fuzz targets: the stats codecs, the
 # cluster wire layer (framing, message decoding, the session
-# handshake), the coordinator's admission of job specs, and the hint
-# protocol parsers (each target runs alone, as
+# handshake), the coordinator's admission of job specs, the hint
+# protocol parsers, and the scenario engine's AP lattice lookup against
+# its linear scan (each target runs alone, as
 # `go test -fuzz` requires). CI runs the same targets at a reduced FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
@@ -348,6 +349,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAdmit -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz FuzzParseTrailer -fuzztime $(FUZZTIME) ./internal/hintproto/
 	$(GO) test -fuzz FuzzParseHintFrame -fuzztime $(FUZZTIME) ./internal/hintproto/
+	$(GO) test -fuzz FuzzGridMatchesLinear -fuzztime $(FUZZTIME) ./internal/scenario/
 
 # Hint-serving-plane smoke over real UDP: boot a hintnode AP, throw a
 # hintload herd at it, kill the herd mid-run (its ACKs now hit dead

@@ -24,9 +24,9 @@
 //	sample of shards (fraction F of each job, at least one) on a
 //	second worker and byte-compares the partials: any divergence is a
 //	hard fault. -report-dir also writes each report to jobN-<id>.out
-//	for scripted diffing. At most cluster.MaxOpenJobs (256) jobs wait
-//	for their reports at once: a campaign of more initial jobs is
-//	refused at start, and a POST /jobs past the cap is answered 429.
+//	for scripted diffing. Every job given at start runs, however many;
+//	they count toward cluster.MaxOpenJobs (256) jobs waiting for their
+//	reports, and a POST /jobs while that many wait is answered 429.
 //	Without -listen the fleet is -procs goroutine workers in this
 //	process (default: one per shard of the widest job, at most one per
 //	CPU); with -listen it is every worker process that connects over
@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.noSteal, "no-steal", false, "coordinator: disable speculative re-dispatch of in-flight shards")
 	fs.BoolVar(&o.verbose, "v", false, "log dispatches, steals, and worker deaths to stderr")
 	fs.IntVar(&o.dieAfter, "die-after-assign", 0, "worker fault injection: exit abruptly on receiving the `n`-th assignment")
-	fs.BoolVar(&o.camp, "campaign", false, fmt.Sprintf("run a campaign: queue the job specs (or @file) given as arguments through one fleet (at most %d jobs waiting for their reports; a longer campaign is refused)", cluster.MaxOpenJobs))
+	fs.BoolVar(&o.camp, "campaign", false, fmt.Sprintf("run a campaign: queue the job specs (or @file) given as arguments through one fleet (every spec runs; POST /jobs is refused while %d jobs wait for their reports)", cluster.MaxOpenJobs))
 	fs.Float64Var(&o.verify, "verify", 0, "coordinator: re-execute this `fraction` of each job's shards on a second worker and byte-compare (0 = off)")
 	fs.StringVar(&o.reportDir, "report-dir", "", "coordinator: also write each report to `dir`/jobN-<id>.out for scripted diffing")
 	fs.StringVar(&o.statAddr, "status-addr", "", "coordinator: serve the HTTP control plane (/status, /metrics, POST /jobs) on `addr` (e.g. 127.0.0.1:0)")

@@ -268,15 +268,42 @@ func TestCampaignMutationsViaHTTP(t *testing.T) {
 // cluster.MaxOpenJobs jobs admitted but not yet delivered. At the cap,
 // Control.Submit is refused with ErrQueueFull and nothing is admitted,
 // the same request over HTTP answers 429, and a cancelled job frees its
-// slot. Initial jobs count against the same cap.
+// slot. Initial jobs count against the same cap but are never refused:
+// a campaign of more than MaxOpenJobs initial jobs delivers every
+// report.
 func TestSubmitRefusedAtJobCap(t *testing.T) {
 	job := Job{Experiment: "sec4-2", Scale: 0.1, Seed: 42, Shards: 1}
 	initial := make([]Job, cluster.MaxOpenJobs+1)
 	for i := range initial {
 		initial[i] = job
 	}
-	if _, _, err := Run(cluster.NewInProcess(0, nil), initial, Options{}); !errors.Is(err, cluster.ErrQueueFull) {
-		t.Fatalf("run of %d initial jobs: %v, want ErrQueueFull", len(initial), err)
+	{
+		ctl := cluster.NewControl()
+		gate := make(chan struct{})
+		tr := &gatedCampaignTransport{inner: startTransport(t, "inproc", 2, false), gate: gate}
+		done := make(chan struct{})
+		var emitted int
+		var runErr error
+		go func() {
+			defer close(done)
+			_, _, runErr = Run(tr, initial, Options{
+				ShardWorkers: 1,
+				Control:      ctl,
+				Emit: func(int, Job, *experiments.Report) error {
+					emitted++
+					return nil
+				},
+			})
+		}()
+		// No worker has arrived, so every initial job is still open.
+		if _, err := ctl.Submit(job); !errors.Is(err, cluster.ErrQueueFull) {
+			t.Fatalf("submit to a run of %d initial jobs: %v, want ErrQueueFull", len(initial), err)
+		}
+		close(gate)
+		<-done
+		if runErr != nil || emitted != len(initial) {
+			t.Fatalf("run of %d initial jobs: %d reports, %v; want every report", len(initial), emitted, runErr)
+		}
 	}
 
 	ctl := cluster.NewControl()

@@ -43,13 +43,15 @@ const MaxShards = 4096
 // MaxOpenJobs bounds the jobs a coordinator holds admitted but neither
 // delivered nor cancelled. Each one keeps per-shard state (and, once it
 // runs, its results) until its report is out, so without the bound a
-// coordinator fed over POST /jobs grows without limit. DESIGN.md
-// ("Admission bounds") sizes it from the campaigns the repository runs.
+// coordinator fed over POST /jobs grows without limit. Initial jobs
+// count toward it but are never refused: they are the operator's own
+// list, not network input. DESIGN.md ("Admission bounds") sizes it from
+// the campaigns the repository runs.
 const MaxOpenJobs = 256
 
-// ErrQueueFull is admission's refusal of a job beyond MaxOpenJobs; a
-// control plane answers it with 429, since the same job may be
-// admitted once earlier reports are out.
+// ErrQueueFull is admission's refusal of a submitted job while
+// MaxOpenJobs jobs are open; a control plane answers it with 429, since
+// the same job may be admitted once earlier reports are out.
 var ErrQueueFull = errors.New("cluster: job queue full")
 
 // checkJob is admission's per-job check: a registered experiment and
@@ -386,7 +388,8 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 	// admit validates a job and queues it behind every earlier one,
 	// with its verification sample. Jobs given at start and jobs
 	// submitted through the Control both come in here. open counts the
-	// admitted jobs neither delivered nor cancelled.
+	// admitted jobs neither delivered nor cancelled; only a submitted
+	// job is refused when it reaches MaxOpenJobs.
 	var states []*jobState
 	open := 0
 	admit := func(j Job) (int, error) {
@@ -394,7 +397,7 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 		if err := checkJob(j); err != nil {
 			return 0, fmt.Errorf("cluster: job %d %w", ji, err)
 		}
-		if open >= MaxOpenJobs {
+		if ji >= len(jobs) && open >= MaxOpenJobs {
 			return 0, fmt.Errorf("cluster: job %d (%s): %w: %d jobs admitted and not yet delivered", ji, j.Experiment, ErrQueueFull, open)
 		}
 		open++

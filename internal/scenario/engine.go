@@ -41,14 +41,16 @@ type state struct {
 // fates — is a pure function of its seed, independent of every other
 // client (until contention couples them through state.busy).
 type client struct {
-	rng   parallel.RNG
-	herd  int32
-	ap    int32
-	x, y  float64
-	hdg   float64 // heading, radians clockwise from north
-	speed float64 // m/s on the current leg
-	togo  float64 // metres remaining on the current leg
-	at    time.Duration
+	rng  parallel.RNG
+	herd int32
+	ap   int32
+	x, y float64
+	// sin and cos of the heading (radians clockwise from north), set
+	// once per leg by turn.
+	sin, cos float64
+	speed    float64 // m/s on the current leg
+	togo     float64 // metres remaining on the current leg
+	at       time.Duration
 	// next[k] is class k's next arrival time.
 	next []time.Duration
 	m    Metrics
@@ -106,7 +108,7 @@ func compile(sc Scenario, lo, hi int) (*state, []client) {
 			c.x = c.rng.Float64() * area.Width
 			c.y = c.rng.Float64() * area.Height
 			if !h.Mobility.Static() {
-				c.hdg = c.newHeading(&st.herds[hix].prof)
+				c.turn(c.newHeading(&st.herds[hix].prof))
 				c.speed = c.newSpeed(&st.herds[hix].prof)
 				c.togo = c.newLeg(&st.herds[hix].prof)
 			}
@@ -132,6 +134,12 @@ func (c *client) newHeading(p *MobilityProfile) float64 {
 		return road
 	}
 	return c.rng.Float64() * 2 * math.Pi
+}
+
+// turn sets the heading of a new leg. advance reads only its sine and
+// cosine, which change only here.
+func (c *client) turn(hdg float64) {
+	c.sin, c.cos = math.Sin(hdg), math.Cos(hdg)
 }
 
 // newSpeed draws the leg speed, floored at walking pace like
@@ -162,12 +170,12 @@ func (c *client) advance(to time.Duration, p *MobilityProfile, area Area) {
 		if move > c.togo {
 			move = c.togo
 		}
-		c.x = wrap(c.x+move*math.Sin(c.hdg), area.Width)
-		c.y = wrap(c.y+move*math.Cos(c.hdg), area.Height)
+		c.x = wrap(c.x+move*c.sin, area.Width)
+		c.y = wrap(c.y+move*c.cos, area.Height)
 		c.togo -= move
 		dist -= move
 		if c.togo <= 0 {
-			c.hdg = c.newHeading(p)
+			c.turn(c.newHeading(p))
 			c.speed = c.newSpeed(p)
 			c.togo = c.newLeg(p)
 		}
@@ -275,7 +283,7 @@ func NetDisplacement(p MobilityProfile, area Area, seed int64, n int, dur time.D
 		c.x = c.rng.Float64() * area.Width
 		c.y = c.rng.Float64() * area.Height
 		x0, y0 := c.x, c.y
-		c.hdg = c.newHeading(&p)
+		c.turn(c.newHeading(&p))
 		c.speed = c.newSpeed(&p)
 		c.togo = c.newLeg(&p)
 		c.advance(dur, &p, area)
@@ -299,30 +307,30 @@ func toroidalDelta(d, size float64) float64 {
 }
 
 // wheelFor sizes the timer wheel to the scenario's traffic: slots
-// around a quarter of the shortest inter-arrival, a horizon of a few
-// thousand slots, overflow handling the rest.
+// around a quarter of the shortest inter-arrival (within 100 µs–10 ms),
+// and the fewest slots, a power of two up to 4096, whose horizon covers
+// the longest inter-arrival plus the slot being drained. Every re-armed
+// arrival then lands in a slot, and each slot's buffer is reused once
+// per revolution instead of being grown once and dropped; overflow
+// handles the rest.
 func wheelFor(sc Scenario) *sim.Engine {
-	min := time.Duration(math.MaxInt64)
+	lo, hi := time.Duration(math.MaxInt64), time.Duration(0)
 	for _, h := range sc.Herds {
 		for _, tc := range h.Traffic {
-			if tc.Interval < min {
-				min = tc.Interval
-			}
+			lo, hi = min(lo, tc.Interval), max(hi, tc.Interval)
 		}
 	}
-	slot := min / 4
-	if slot < 100*time.Microsecond {
-		slot = 100 * time.Microsecond
+	slot := min(max(lo/4, 100*time.Microsecond), 10*time.Millisecond)
+	n := 1
+	for n < 4096 && time.Duration(n)*slot < hi+slot {
+		n *= 2
 	}
-	if slot > 10*time.Millisecond {
-		slot = 10 * time.Millisecond
-	}
-	return sim.NewWheel(slot, 4096)
+	return sim.NewWheel(slot, n)
 }
 
 // Run executes the scenario on the event-driven engine: every client
-// self-schedules its next arrival on the timer wheel and resolves its
-// AP through the spatial grid index. Cost is proportional to packet
+// re-arms its one event for its next arrival on the timer wheel and
+// resolves its AP on the AP lattice. Cost is proportional to packet
 // events — APs and clients that exchange no traffic contribute nothing
 // but memory.
 func Run(sc Scenario) Result {
@@ -345,22 +353,21 @@ func RunChunk(sc Scenario, lo, hi int) Result {
 	st.look = st.ix.best
 	eng := wheelFor(st.sc)
 	var events int64
-	fns := make([]func(), len(clients))
+	evs := make([]*sim.Event, len(clients))
 	for i := range clients {
 		c := &clients[i]
-		fns[i] = func() {
+		t, _ := c.nextArrival()
+		if t >= st.sc.Duration {
+			continue
+		}
+		evs[i] = eng.At(t, func() {
 			t, k := c.nextArrival()
 			c.step(t, k, st)
 			events++
 			if nt, _ := c.nextArrival(); nt < st.sc.Duration {
-				eng.At(nt, fns[i])
+				evs[i] = eng.Reschedule(evs[i], nt)
 			}
-		}
-	}
-	for i := range clients {
-		if t, _ := clients[i].nextArrival(); t < st.sc.Duration {
-			eng.At(t, fns[i])
-		}
+		})
 	}
 	eng.RunUntil(st.sc.Duration)
 	return finish(st, clients, events)

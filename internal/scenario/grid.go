@@ -2,61 +2,43 @@ package scenario
 
 import "math"
 
-// apIndex is the toroidal spatial index over the AP grid. Cells are at
-// least one radio range wide in each axis, so every AP within range of
-// a point lies in the 3×3 cell neighbourhood around it — a best-AP
-// query scans a constant number of APs no matter how large the city
-// grows, which is what makes idle links free in the event engine.
+// apIndex is the AP lattice of the toroidal grid: AP i sits at the
+// centre of square (i%side, i/side) of the side×side squares of width
+// spacing, so the AP nearest a point is the one whose square holds it.
+// A best-AP query is O(1) no matter how large the city grows, which is
+// what makes idle links free in the event engine.
 //
 // Selection is min (distance², AP id) over in-range APs, a total order
-// with no float ties to break, so the grid scan and the oracle's full
-// linear scan return the identical AP (TestGridMatchesLinear).
+// with no float ties to break, so the lattice lookup and the oracle's
+// full linear scan return the identical AP (TestGridMatchesLinear).
 type apIndex struct {
-	w, h       float64
-	cols, rows int
-	cellW      float64
-	cellH      float64
-	xs, ys     []float64
-	cells      [][]int32
-	rangeSq    float64
+	side    int
+	spacing float64
+	w, h    float64
+	xs, ys  []float64
+	rangeSq float64
+	// inner is spacing·(½ − 1e-6): a point closer than this to its
+	// square's AP along both axes is nearer to it than to any other AP
+	// by at least 2e-6·spacing² in d², far above float rounding.
+	inner float64
 }
 
-// newAPIndex lays out the scenario's AP grid and buckets it.
+// newAPIndex lays out the scenario's AP grid.
 func newAPIndex(grid APGrid, radio Radio) *apIndex {
 	area := float64(grid.Side) * grid.Spacing
-	ix := &apIndex{w: area, h: area, rangeSq: radio.RangeM * radio.RangeM}
-	// floor(area/range) cells keeps each cell ≥ one range wide; tiny
-	// areas collapse to a single cell.
-	ix.cols = int(area / radio.RangeM)
-	if ix.cols < 1 {
-		ix.cols = 1
+	ix := &apIndex{
+		side: grid.Side, spacing: grid.Spacing, w: area, h: area,
+		rangeSq: radio.RangeM * radio.RangeM,
+		inner:   grid.Spacing * (0.5 - 1e-6),
 	}
-	ix.rows = ix.cols
-	ix.cellW = area / float64(ix.cols)
-	ix.cellH = area / float64(ix.rows)
 	n := grid.Side * grid.Side
 	ix.xs = make([]float64, n)
 	ix.ys = make([]float64, n)
-	ix.cells = make([][]int32, ix.cols*ix.rows)
 	for i := 0; i < n; i++ {
 		ix.xs[i] = (float64(i%grid.Side) + 0.5) * grid.Spacing
 		ix.ys[i] = (float64(i/grid.Side) + 0.5) * grid.Spacing
-		c := ix.cellOf(ix.xs[i], ix.ys[i])
-		ix.cells[c] = append(ix.cells[c], int32(i))
 	}
 	return ix
-}
-
-func (ix *apIndex) cellOf(x, y float64) int {
-	cx := int(x / ix.cellW)
-	if cx >= ix.cols {
-		cx = ix.cols - 1
-	}
-	cy := int(y / ix.cellH)
-	if cy >= ix.rows {
-		cy = ix.rows - 1
-	}
-	return cy*ix.cols + cx
 }
 
 // dist2 returns the toroidal squared distance from (x, y) to AP i.
@@ -84,27 +66,37 @@ func (ix *apIndex) consider(i int32, x, y float64, best int32, bd float64) (int3
 	return best, bd
 }
 
-// best returns the in-range AP minimising (dist², id) via the 3×3 cell
-// neighbourhood, or (-1, 0) when none is in range. Wrapping may visit a
-// cell twice on degenerate 1–2 cell grids; min selection makes the
-// duplicate scan harmless.
-func (ix *apIndex) best(x, y float64) (int32, float64) {
-	cx := int(x / ix.cellW)
-	if cx >= ix.cols {
-		cx = ix.cols - 1
+// square returns the lattice column (or row) holding coordinate v.
+func (ix *apIndex) square(v float64) int {
+	c := int(v / ix.spacing)
+	if c >= ix.side {
+		c = ix.side - 1
 	}
-	cy := int(y / ix.cellH)
-	if cy >= ix.rows {
-		cy = ix.rows - 1
+	return c
+}
+
+// best returns the in-range AP minimising (dist², id), or (-1, 0) when
+// none is in range. Away from the square's edges the square's own AP
+// is the unique nearest one, and when it is out of range so is every
+// other AP. Within the inner margin of an edge, the 3×3 block of
+// squares around it is scanned: every AP outside the block is at least
+// 1.5·spacing away, while the square's AP is at most 0.71·spacing
+// away. Wrapping may visit an AP twice on 1–2 AP grids; min selection
+// makes the duplicate harmless.
+func (ix *apIndex) best(x, y float64) (int32, float64) {
+	cx, cy := ix.square(x), ix.square(y)
+	a := int32(cy*ix.side + cx)
+	if dx, dy := math.Abs(ix.xs[a]-x), math.Abs(ix.ys[a]-y); dx < ix.inner && dy < ix.inner {
+		if d2 := dx*dx + dy*dy; d2 <= ix.rangeSq {
+			return a, d2
+		}
+		return -1, 0
 	}
 	best, bd := int32(-1), 0.0
 	for dy := -1; dy <= 1; dy++ {
-		ny := (cy + dy + ix.rows) % ix.rows
+		row := (cy + dy + ix.side) % ix.side * ix.side
 		for dx := -1; dx <= 1; dx++ {
-			nx := (cx + dx + ix.cols) % ix.cols
-			for _, i := range ix.cells[ny*ix.cols+nx] {
-				best, bd = ix.consider(i, x, y, best, bd)
-			}
+			best, bd = ix.consider(int32(row+(cx+dx+ix.side)%ix.side), x, y, best, bd)
 		}
 	}
 	return best, bd

@@ -21,7 +21,10 @@ import (
 // differential (TestReplayLinkMatchesRatesim,
 // TestReplayTwoClientsMatchesAP). Where the originals advance `now`
 // inside a loop body, the ports advance the engine clock by scheduling
-// the continuation at the advanced time.
+// the continuation at the advanced time. Only one continuation is ever
+// pending, so each continuation's event is created once and re-armed
+// with Reschedule after it fires: the event chain allocates nothing per
+// step.
 
 // linkReplay is the event-chain state of one ReplayLink run; its
 // fields mirror ratesim.Run's locals.
@@ -49,6 +52,9 @@ type linkReplay struct {
 	consLost  int
 	attempt   int
 	delivered bool
+
+	// start, try and finish are the events of the three continuations.
+	start, try, finish *sim.Event
 }
 
 const (
@@ -92,7 +98,7 @@ func ReplayLink(cfg ratesim.Config) ratesim.Result {
 	}
 
 	s.eng = sim.NewWheel(time.Millisecond, 1024)
-	s.eng.At(0, s.startPacket)
+	s.start = s.eng.At(0, s.startPacket)
 	s.eng.Run()
 
 	dur := s.end.Seconds()
@@ -146,10 +152,20 @@ func (s *linkReplay) tryAttempt() {
 	s.attempt++
 	if ok {
 		s.delivered = true
-		s.eng.At(now, s.finishPacket)
+		s.then(&s.finish, now, (*linkReplay).finishPacket)
 		return
 	}
-	s.eng.At(now, s.tryAttempt)
+	s.then(&s.try, now, (*linkReplay).tryAttempt)
+}
+
+// then schedules continuation fn at t on its event *ev, creating the
+// event on first use and re-arming it after that.
+func (s *linkReplay) then(ev **sim.Event, t time.Duration, fn func(*linkReplay)) {
+	if *ev == nil {
+		*ev = s.eng.At(t, func() { fn(s) })
+		return
+	}
+	*ev = s.eng.Reschedule(*ev, t)
 }
 
 // finishPacket is the tail of the outer loop body: delivery accounting,
@@ -190,7 +206,7 @@ func (s *linkReplay) finishPacket() {
 		}
 		now += gap
 	}
-	s.eng.At(now, s.startPacket)
+	s.start = s.eng.Reschedule(s.start, now)
 }
 
 // twoClientReplay is the event-chain state of one ReplayTwoClients run;
@@ -215,6 +231,9 @@ type twoClientReplay struct {
 	lastFailStart          time.Duration
 	nextProbe2             time.Duration
 	turn                   int
+
+	// ev is serveOne's event, re-armed for every iteration.
+	ev *sim.Event
 }
 
 // ReplayTwoClients is the event-driven port of ap.RunTwoClients: one
@@ -270,7 +289,7 @@ func ReplayTwoClients(cfg ap.TwoClientConfig) ap.TwoClientResult {
 	s.probeCost = phy.PayloadAirtime(phy.Rate6, phy.RTSBytes) + phy.SIFS
 
 	s.eng = sim.NewWheel(time.Millisecond, 1024)
-	s.eng.At(0, s.serveOne)
+	s.ev = s.eng.At(0, s.serveOne)
 	s.eng.Run()
 	return s.res
 }
@@ -328,7 +347,7 @@ func (s *twoClientReplay) serveOne() {
 	if s.client2Parked && now >= s.nextProbe2 {
 		now += s.probeCost
 		s.nextProbe2 = now + cfg.Prune.ProbeEvery
-		s.eng.At(now, s.serveOne)
+		s.ev = s.eng.Reschedule(s.ev, now)
 		return
 	}
 
@@ -365,7 +384,7 @@ func (s *twoClientReplay) serveOne() {
 		now += s.frame1
 		s.delivered1 += s.bits
 		s.res.Total1 += s.bits / 1e6
-		s.eng.At(now, s.serveOne)
+		s.ev = s.eng.Reschedule(s.ev, now)
 		return
 	}
 
@@ -376,7 +395,7 @@ func (s *twoClientReplay) serveOne() {
 		s.sent2++
 		s.consFail2 = 0
 		s.lastFailStart = -1
-		s.eng.At(now, s.serveOne)
+		s.ev = s.eng.Reschedule(s.ev, now)
 		return
 	}
 	if s.lastFailStart < 0 {
@@ -387,5 +406,5 @@ func (s *twoClientReplay) serveOne() {
 	if s.consFail2%4 == 0 && s.rate2 > phy.Rate6 {
 		s.rate2--
 	}
-	s.eng.At(now, s.serveOne)
+	s.ev = s.eng.Reschedule(s.ev, now)
 }

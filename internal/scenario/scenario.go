@@ -4,11 +4,11 @@
 //
 // The same compiled scenario runs on two engines:
 //
-//   - Run is the event-driven engine. Each client self-schedules its
-//     next packet arrival on a timer wheel (sim.NewWheel) and resolves
-//     its serving AP through a toroidal spatial grid index, so cost
-//     scales with packet events, not with simulated time × nodes ×
-//     APs — idle links generate no work at all.
+//   - Run is the event-driven engine. Each client re-arms its one event
+//     for its next packet arrival on a timer wheel (sim.NewWheel) and
+//     resolves its serving AP on the AP lattice in O(1), so cost scales
+//     with packet events, not with simulated time × nodes × APs — idle
+//     links generate no work at all, and an event allocates nothing.
 //   - RunSlotted is the slot-driven oracle in the style of the paper's
 //     runners (internal/ratesim, internal/ap, internal/vehicular): an
 //     outer loop over fixed time slots, an inner loop over every

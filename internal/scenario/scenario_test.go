@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -177,9 +178,12 @@ func TestHandoffsOnMobileScenarios(t *testing.T) {
 	}
 }
 
-// TestGridMatchesLinear drives the spatial index against the full
+// TestGridMatchesLinear drives the lattice lookup against the full
 // linear scan at random query points, including points in coverage
-// gaps.
+// gaps, and at the points where the lookup's fast path gives way to its
+// 3×3 scan: exact multiples of Spacing/2 (square corners, edge midpoints
+// and AP centres), the same points nudged by ±1e-12, ±1e-9 and ±1e-6 m,
+// and the torus seam at 0 and at the area's edge.
 func TestGridMatchesLinear(t *testing.T) {
 	for _, g := range []struct {
 		grid  APGrid
@@ -187,21 +191,62 @@ func TestGridMatchesLinear(t *testing.T) {
 	}{
 		{APGrid{Side: 8, Spacing: 180}, DefaultRadio()},
 		{APGrid{Side: 3, Spacing: 300}, DefaultRadio()}, // sparse, gaps
-		{APGrid{Side: 1, Spacing: 100}, DefaultRadio()}, // degenerate 1-cell wheel
+		{APGrid{Side: 1, Spacing: 100}, DefaultRadio()}, // one AP
 		{APGrid{Side: 20, Spacing: 60}, Radio{RangeM: 90, RefSNR: 68, PathLossExp: 3, SNRNoise: 1.5, RetryLimit: 3}},
+		{APGrid{Side: 2, Spacing: 180}, DefaultRadio()}, // the 3×3 block wraps onto itself
+		{APGrid{Side: 5, Spacing: 240}, DefaultRadio()},
+		{APGrid{Side: 6, Spacing: 200}, Radio{RangeM: 80}}, // range < Spacing/2: gaps inside every square
 	} {
 		ix := newAPIndex(g.grid, g.radio)
-		rng := parallel.NewRNG(99)
 		area := float64(g.grid.Side) * g.grid.Spacing
-		for i := 0; i < 5000; i++ {
-			x := rng.Float64() * area
-			y := rng.Float64() * area
+		check := func(x, y float64) {
+			t.Helper()
 			gb, gd := ix.best(x, y)
 			lb, ld := ix.bestLinear(x, y)
 			if gb != lb || gd != ld {
-				t.Fatalf("grid %dx%d spacing %g at (%.2f, %.2f): grid picked AP %d (d²=%g), linear AP %d (d²=%g)",
-					g.grid.Side, g.grid.Side, g.grid.Spacing, x, y, gb, gd, lb, ld)
+				t.Fatalf("grid %dx%d spacing %g range %g at (%v, %v): lattice picked AP %d (d²=%g), linear AP %d (d²=%g)",
+					g.grid.Side, g.grid.Side, g.grid.Spacing, g.radio.RangeM, x, y, gb, gd, lb, ld)
 			}
+		}
+		rng := parallel.NewRNG(99)
+		for i := 0; i < 5000; i++ {
+			check(rng.Float64()*area, rng.Float64()*area)
+		}
+		var ties []float64
+		for k := 0; k <= 2*g.grid.Side; k++ {
+			for _, off := range []float64{0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6} {
+				if v := float64(k)*g.grid.Spacing/2 + off; v >= 0 && v <= area {
+					ties = append(ties, v)
+				}
+			}
+		}
+		for _, x := range ties {
+			for _, y := range ties {
+				check(x, y)
+			}
+		}
+	}
+}
+
+// TestRunAllocsIndependentOfDuration pins the event engine at no
+// allocation per event: quadrupling a scenario's Duration quadruples
+// its events but may add only a few allocations (slot arrays growing),
+// with and without contention.
+func TestRunAllocsIndependentOfDuration(t *testing.T) {
+	for _, sc := range testScenarios() {
+		for _, contended := range []bool{false, true} {
+			sc.Contention = contended
+			long := sc
+			long.Duration *= 4
+			var short, longer Result
+			a := testing.AllocsPerRun(1, func() { short = Run(sc) })
+			b := testing.AllocsPerRun(1, func() { longer = Run(long) })
+			msg := fmt.Sprintf("%s contended=%v: %.0f allocations for %d events, %.0f for %d",
+				sc.Name, contended, a, short.Events, b, longer.Events)
+			if b-a > 8 {
+				t.Error(msg)
+			}
+			t.Log(msg)
 		}
 	}
 }

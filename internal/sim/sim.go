@@ -16,6 +16,12 @@
 // Both backends fire events in identical (time, scheduling-FIFO) order;
 // TestWheelMatchesHeap drives randomized schedules, cancels, and
 // reschedules through both and requires the same firing sequence.
+//
+// Reschedule returns the handle to use from then on. An event that has
+// fired (or was cancelled and has left the queue) is re-armed in place
+// and comes back as the same handle, so a callback that re-arms its own
+// event — a per-client packet timer, a MAC continuation — schedules
+// without allocating.
 package sim
 
 import (
@@ -31,6 +37,9 @@ type Event struct {
 	fn   func()
 	idx  int
 	dead bool
+	// queued is set while the event sits in the engine's queue, live
+	// or cancelled; Reschedule re-arms only an event that is not.
+	queued bool
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -91,17 +100,24 @@ func (e *Engine) Now() time.Duration { return e.now }
 // the past (t < Now) fires the event at the current time instead, never
 // rewinding the clock.
 func (e *Engine) At(t time.Duration, fn func()) *Event {
+	ev := &Event{fn: fn}
+	e.arm(ev, t)
+	return ev
+}
+
+// arm queues ev, which is in no queue, at t (clamped to Now) with a
+// fresh scheduling sequence number.
+func (e *Engine) arm(ev *Event, t time.Duration) {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	ev.at, ev.seq, ev.dead, ev.queued = t, e.seq, false, true
 	e.seq++
 	if e.w != nil {
 		e.w.schedule(e, ev)
 	} else {
 		heap.Push(&e.queue, ev)
 	}
-	return ev
 }
 
 // After schedules fn to run d after the current time.
@@ -109,16 +125,34 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
-// Reschedule cancels ev and schedules its callback anew at time t,
-// returning the new event. The new event takes a fresh scheduling
+// Reschedule schedules ev's callback anew at time t and returns the
+// handle to use from then on. The event takes a fresh scheduling
 // sequence number, so among events with equal times it fires after
 // those already queued — exactly as a Cancel followed by At. On the
-// wheel backend this is O(1). Reschedule of a nil, fired, or cancelled
-// event just schedules the callback (nil ev panics on nil fn access
-// like any misuse would).
+// wheel backend this is O(1).
+//
+// An event that is no longer queued (it fired, or was cancelled and
+// then discarded) is re-armed in place: the same handle comes back and
+// nothing is allocated. An event still queued, pending or cancelled, is
+// cancelled and a new one is returned; the old handle then stays dead.
+// A nil ev panics like any misuse would.
 func (e *Engine) Reschedule(ev *Event, t time.Duration) *Event {
-	ev.Cancel()
-	return e.At(t, ev.fn)
+	if ev.queued {
+		ev.Cancel()
+		return e.At(t, ev.fn)
+	}
+	e.arm(ev, t)
+	return ev
+}
+
+// pop removes the queue's head: the event peekLive returned, or a dead
+// event it discards.
+func (e *Engine) pop() {
+	if e.w != nil {
+		e.w.popHead()
+		return
+	}
+	heap.Pop(&e.queue).(*Event).queued = false
 }
 
 // peekLive returns the earliest live queued event without firing it,
@@ -131,7 +165,7 @@ func (e *Engine) peekLive() *Event {
 		if next := e.queue[0]; !next.dead {
 			return next
 		}
-		heap.Pop(&e.queue)
+		e.pop()
 	}
 	return nil
 }
@@ -143,11 +177,7 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	if e.w != nil {
-		e.w.popHead()
-	} else {
-		heap.Pop(&e.queue)
-	}
+	e.pop()
 	e.now = ev.at
 	ev.fn()
 	return true

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -21,6 +22,12 @@ import (
 //
 // Cancellation stays lazy (Event.dead), so Cancel and Reschedule are
 // O(1); dead events are discarded when their slot drains.
+//
+// Buffers are recycled, not regrown: ready keeps its backing array
+// while it is consumed (head advances instead of reslicing away its
+// capacity), and draining a slot swaps arrays — the slot's array
+// becomes ready, and the consumed ready array becomes the slot's empty
+// one.
 type wheel struct {
 	slotDur time.Duration
 	slots   [][]*Event
@@ -31,9 +38,11 @@ type wheel struct {
 	cur int64
 	// count is the number of events (live or dead) sitting in slots.
 	count int
-	// ready is the sorted unfired remainder of the drained slot(s);
-	// ready[0] is the engine's next event.
+	// ready[head:] is the sorted unfired remainder of the drained
+	// slot(s); ready[head] is the engine's next event. An empty ready
+	// has head 0.
 	ready []*Event
+	head  int
 }
 
 // NewWheel returns an engine whose queue is a timer wheel of nslots
@@ -51,7 +60,16 @@ func NewWheel(slotDur time.Duration, nslots int) *Engine {
 // slot maps an absolute time to its absolute slot index.
 func (w *wheel) slot(t time.Duration) int64 { return int64(t / w.slotDur) }
 
-func (w *wheel) pending() int { return w.count + len(w.ready) }
+func (w *wheel) pending() int { return w.count + len(w.ready) - w.head }
+
+// byAtSeq orders events by (at, seq), the firing order of both
+// backends.
+func byAtSeq(a, b *Event) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
 
 // schedule routes one freshly created event (at ≥ engine now).
 func (w *wheel) schedule(e *Engine, ev *Event) {
@@ -71,16 +89,8 @@ func (w *wheel) schedule(e *Engine, ev *Event) {
 
 // insertReady places ev into the sorted ready batch.
 func (w *wheel) insertReady(ev *Event) {
-	i := sort.Search(len(w.ready), func(i int) bool {
-		r := w.ready[i]
-		if r.at != ev.at {
-			return r.at > ev.at
-		}
-		return r.seq > ev.seq
-	})
-	w.ready = append(w.ready, nil)
-	copy(w.ready[i+1:], w.ready[i:])
-	w.ready[i] = ev
+	i, _ := slices.BinarySearchFunc(w.ready[w.head:], ev, byAtSeq)
+	w.ready = slices.Insert(w.ready, w.head+i, ev)
 }
 
 // migrate moves overflow-heap events whose slot has entered the wheel
@@ -108,11 +118,11 @@ func (w *wheel) migrate(e *Engine) {
 func (w *wheel) peekLive(e *Engine) *Event {
 	for {
 		// Trim fired-over dead events off the ready batch.
-		for len(w.ready) > 0 && w.ready[0].dead {
+		for len(w.ready) > 0 && w.ready[w.head].dead {
 			w.popHead()
 		}
 		if len(w.ready) > 0 {
-			return w.ready[0]
+			return w.ready[w.head]
 		}
 		if w.count == 0 {
 			if len(e.queue) == 0 {
@@ -126,35 +136,35 @@ func (w *wheel) peekLive(e *Engine) *Event {
 			}
 		}
 		w.migrate(e)
-		if w.count == 0 && len(w.ready) == 0 {
+		if len(w.ready) > 0 {
+			continue // migrated straight into the drained region
+		}
+		if w.count == 0 {
 			if len(e.queue) == 0 {
 				return nil
 			}
 			continue
 		}
-		// Drain the cursor slot into ready, sorted by (at, seq).
+		// Drain the cursor slot into the empty ready batch, sorted by
+		// (at, seq), handing ready's array to the slot.
 		ring := w.cur % int64(len(w.slots))
 		if s := w.slots[ring]; len(s) > 0 {
-			w.ready = append(w.ready[:0], s...)
-			for i := range s {
-				s[i] = nil
-			}
-			w.slots[ring] = s[:0]
-			w.count -= len(w.ready)
-			sort.Slice(w.ready, func(i, j int) bool {
-				if w.ready[i].at != w.ready[j].at {
-					return w.ready[i].at < w.ready[j].at
-				}
-				return w.ready[i].seq < w.ready[j].seq
-			})
+			w.ready, w.slots[ring] = s, w.ready
+			w.count -= len(s)
+			slices.SortFunc(w.ready, byAtSeq)
 		}
 		w.cur++
 	}
 }
 
-// popHead removes ready[0] (the event peekLive returned, or a dead
-// event being trimmed).
+// popHead removes ready[head] (the event peekLive returned, or a dead
+// event being trimmed), rewinding an emptied ready to the start of its
+// array.
 func (w *wheel) popHead() {
-	w.ready[0] = nil
-	w.ready = w.ready[1:]
+	w.ready[w.head].queued = false
+	w.ready[w.head] = nil
+	w.head++
+	if w.head == len(w.ready) {
+		w.ready, w.head = w.ready[:0], 0
+	}
 }

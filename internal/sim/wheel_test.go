@@ -188,6 +188,53 @@ func TestFIFOTieOrderUnderReschedule(t *testing.T) {
 	}
 }
 
+// TestRescheduleRearmsFiredEvent pins Reschedule's re-arm contract on
+// both backends: an event that has fired comes back as the same handle,
+// without allocating, and fires again; an event still queued is
+// replaced by a new handle, and cancelling the replaced one afterwards
+// does not stop the new one.
+func TestRescheduleRearmsFiredEvent(t *testing.T) {
+	for _, g := range append(wheelGeometries(), struct {
+		name string
+		mk   func() *Engine
+	}{"heap", New}) {
+		t.Run(g.name, func(t *testing.T) {
+			e := g.mk()
+			fired, rearms := 0, 0
+			ev := e.At(time.Millisecond, func() { fired++ })
+			e.Run()
+			same := true
+			rearm := func() {
+				same = same && e.Reschedule(ev, e.Now()+time.Millisecond) == ev
+				rearms++
+				e.Run()
+			}
+			// Warm every slot the loop visits, so slot arrays exist.
+			for i := 0; i < 5000; i++ {
+				rearm()
+			}
+			if allocs := testing.AllocsPerRun(1000, rearm); allocs != 0 {
+				t.Errorf("re-arming a fired event allocates %v times, want 0", allocs)
+			}
+			if !same || fired != 1+rearms {
+				t.Fatalf("same handle %v, fired %d times for %d re-arms", same, fired, rearms)
+			}
+
+			fired = 0
+			pending := e.At(e.Now()+time.Millisecond, func() { fired++ })
+			moved := e.Reschedule(pending, e.Now()+2*time.Millisecond)
+			if moved == pending {
+				t.Fatal("Reschedule of a queued event returned the same handle")
+			}
+			pending.Cancel()
+			e.Run()
+			if fired != 1 {
+				t.Fatalf("rescheduled event fired %d times, want once", fired)
+			}
+		})
+	}
+}
+
 // TestWheelRunUntil checks the deadline semantics on the wheel: events
 // past the deadline stay queued, the clock lands exactly on the
 // deadline, and scheduling into the already-drained region afterwards

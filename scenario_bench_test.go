@@ -7,6 +7,7 @@ package sensorhints_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,18 +19,22 @@ import (
 // BenchmarkScenarioCity runs the full registered city-grid experiment at
 // scale 1 — one 32×32-AP city with 100,000 roaming clients for 40
 // simulated seconds, sharded over client chunks — and reports simulated
-// events per wall-clock second.
+// events per wall-clock second and heap allocations per event.
 func BenchmarkScenarioCity(b *testing.B) {
 	exp, ok := experiments.ByID("city-grid")
 	if !ok {
 		b.Fatal("city-grid not registered")
 	}
+	b.ReportAllocs()
 	var rep *experiments.Report
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		rep = exp.Run(experiments.Config{Scale: 1, Seed: 42})
 	}
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	if fails := rep.Failed(); len(fails) > 0 {
 		b.Fatalf("shape checks failed: %v", fails)
 	}
@@ -44,6 +49,7 @@ func BenchmarkScenarioCity(b *testing.B) {
 	}
 	b.ReportMetric(events*float64(b.N)/elapsed.Seconds(), "events_per_s")
 	b.ReportMetric(events, "events")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/(events*float64(b.N)), "allocs_per_event")
 }
 
 // BenchmarkScenarioIdle is the idle-link sweep: the same population and

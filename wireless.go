@@ -142,6 +142,8 @@ type (
 	// EventEngine orders and fires scheduled events.
 	EventEngine = sim.Engine
 	// EventHandle identifies a scheduled event for Cancel/Reschedule.
+	// Use the handle Reschedule returns from then on: a fired event is
+	// re-armed in place and comes back as the same handle.
 	EventHandle = sim.Event
 )
 
