@@ -331,12 +331,13 @@ cover:
 	done; \
 	exit $$status
 
-# Short fuzz pass over the eleven fuzz targets: the stats codecs, the
+# Short fuzz pass over the twelve fuzz targets: the stats codecs, the
 # cluster wire layer (framing, message decoding, the session
-# handshake), the coordinator's admission of job specs, the hint
-# protocol parsers, and the scenario engine's AP lattice lookup against
-# its linear scan (each target runs alone, as
-# `go test -fuzz` requires). CI runs the same targets at a reduced FUZZTIME.
+# handshake), the coordinator's admission of job specs, the scheduler
+# simulation's seeds, the hint protocol parsers, and the scenario
+# engine's AP lattice lookup against its linear scan (each target runs
+# alone, as `go test -fuzz` requires). CI runs the same targets at a
+# reduced FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzAccumulatorCodec -fuzztime $(FUZZTIME) ./internal/stats/
@@ -347,6 +348,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz FuzzHandshake -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz FuzzAdmit -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz FuzzParseTrailer -fuzztime $(FUZZTIME) ./internal/hintproto/
 	$(GO) test -fuzz FuzzParseHintFrame -fuzztime $(FUZZTIME) ./internal/hintproto/
 	$(GO) test -fuzz FuzzGridMatchesLinear -fuzztime $(FUZZTIME) ./internal/scenario/

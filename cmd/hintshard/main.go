@@ -27,12 +27,12 @@
 //	for scripted diffing. Every job given at start runs, however many;
 //	they count toward cluster.MaxOpenJobs (256) jobs waiting for their
 //	reports, and a POST /jobs while that many wait is answered 429.
-//	Without -listen the fleet is -procs goroutine workers in this
-//	process (default: one per shard of the widest job, at most one per
-//	CPU); with -listen it is every worker process that connects over
-//	TCP (-connect), from this machine or any other.
+//	Without -listen the fleet is goroutine workers in this process, one
+//	per shard of the widest job but at most one per CPU; with -listen
+//	it is every worker process that connects over TCP (-connect), from
+//	this machine or any other.
 //
-//	    hintshard -run fig3-5 -shards 8 [-procs 3] [-scale S] [-seed N]
+//	    hintshard -run fig3-5 -shards 8 [-scale S] [-seed N]
 //	    hintshard -run fig3-5 -shards 8 -listen :7432 [-addr-file F]
 //	    hintshard -campaign -shards 6 [-scale S] [-seed N] fig2-2 fig3-1:scale=0.5
 //	    hintshard -campaign -listen :7432 [-verify 0.2] @jobs.txt
@@ -58,8 +58,8 @@
 // process and machine boundaries: per-trial seeds derive from the root
 // seed by global trial index, shards own contiguous trial ranges, and
 // the coordinator absorbs per-trial results in global trial order — so
-// -shards, -procs, and -listen, like -workers, only change how fast the
-// report appears. -die-after-assign injects worker death for the
+// -shards and -listen, like -workers, only change how fast the report
+// appears. -die-after-assign injects worker death for the
 // failure-path smoke tests.
 package main
 
@@ -92,13 +92,11 @@ type options struct {
 	seed      int64
 	workers   int
 	shards    int
-	procs     int
 	listen    string
 	addrFile  string
 	connect   string
 	list      bool
 	retries   int
-	noSteal   bool
 	verbose   bool
 	dieAfter  int
 	camp      bool
@@ -132,15 +130,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.run, "run", "", "coordinator: the one experiment `id` of a -shards run (see 'hintshard -list')")
 	fs.Float64Var(&o.scale, "scale", 1.0, "experiment scale (1.0 = paper scale, smaller = faster)")
 	fs.Int64Var(&o.seed, "seed", 42, "random seed for deterministic runs")
-	fs.IntVar(&o.workers, "workers", 0, "goroutines per worker for one shard's trials (0 = one per CPU, split across -procs for the in-process fleet)")
+	fs.IntVar(&o.workers, "workers", 0, "goroutines per worker for one shard's trials (0 = one per CPU, split across the in-process fleet)")
 	fs.IntVar(&o.shards, "shards", 0, "coordinator: split the trial space into `K` queued shards")
-	fs.IntVar(&o.procs, "procs", 0, "coordinator: number of in-process workers when there is no -listen (default min(K, CPUs))")
 	fs.StringVar(&o.listen, "listen", "", "coordinator: accept TCP workers on `addr` (e.g. :7432, 127.0.0.1:0) instead of running an in-process fleet")
 	fs.StringVar(&o.addrFile, "addr-file", "", "coordinator: write the resolved -listen address to `file` (for scripts using port 0)")
 	fs.StringVar(&o.connect, "connect", "", "worker: pull shards from the coordinator at `addr` until stopped")
 	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
 	fs.IntVar(&o.retries, "retries", 3, "coordinator: per-shard failure budget before aborting")
-	fs.BoolVar(&o.noSteal, "no-steal", false, "coordinator: disable speculative re-dispatch of in-flight shards")
 	fs.BoolVar(&o.verbose, "v", false, "log dispatches, steals, and worker deaths to stderr")
 	fs.IntVar(&o.dieAfter, "die-after-assign", 0, "worker fault injection: exit abruptly on receiving the `n`-th assignment")
 	fs.BoolVar(&o.camp, "campaign", false, fmt.Sprintf("run a campaign: queue the job specs (or @file) given as arguments through one fleet (every spec runs; POST /jobs is refused while %d jobs wait for their reports)", cluster.MaxOpenJobs))
@@ -198,7 +194,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: hintshard -run <id> -shards K [-procs N | -listen addr]   (fleet run, one job)")
+	fmt.Fprintln(w, "usage: hintshard -run <id> -shards K [-listen addr]              (fleet run, one job)")
 	fmt.Fprintln(w, "       hintshard -campaign [-shards K] <job-spec|@file>...        (fleet run, campaign)")
 	fmt.Fprintln(w, "       hintshard -connect addr                                    (TCP worker)")
 	fmt.Fprintln(w, "       hintshard -status addr [-submit spec | -cancel N | -metrics]  (control-plane client)")
@@ -213,7 +209,7 @@ func usage(w io.Writer) {
 // the operator did not ask for.
 func (o *options) mode(explicit map[string]bool) (string, error) {
 	rejectCoordFlags := func(mode string) error {
-		for _, f := range []string{"procs", "addr-file", "retries", "no-steal", "heartbeat", "heartbeat-misses", "status-addr", "status-addr-file", "verify", "report-dir"} {
+		for _, f := range []string{"addr-file", "retries", "heartbeat", "heartbeat-misses", "status-addr", "status-addr-file", "verify", "report-dir"} {
 			if explicit[f] {
 				return fmt.Errorf("-%s is a coordinator flag; it does not apply to %s", f, mode)
 			}
@@ -321,13 +317,8 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 		if !(o.verify >= 0 && o.verify <= 1) {
 			return "", fmt.Errorf("-verify %g outside [0, 1]", o.verify)
 		}
-		switch {
-		case o.listen != "" && o.procs > 0:
-			return "", fmt.Errorf("-procs sizes the in-process fleet; TCP workers join via -connect")
-		case o.listen == "" && o.addrFile != "":
+		if o.listen == "" && o.addrFile != "" {
 			return "", fmt.Errorf("-addr-file publishes a -listen address; it needs -listen")
-		case o.procs > cluster.MaxShards:
-			return "", fmt.Errorf("-procs %d is above the fleet cap of %d workers", o.procs, cluster.MaxShards)
 		}
 		return "fleet", nil
 	}
@@ -390,10 +381,7 @@ func (o *options) tcpWorker() int {
 func (o *options) perWorkerFanout(procs int) int {
 	perWorker := o.workers
 	if perWorker == 0 && o.listen == "" {
-		perWorker = runtime.NumCPU() / procs
-		if perWorker < 1 {
-			perWorker = 1
-		}
+		perWorker = runtime.NumCPU() / procs // procs is at most NumCPU
 	}
 	return perWorker
 }
@@ -476,19 +464,15 @@ func (o *options) runFleet(specs []string) int {
 		jobs = append(jobs, j)
 	}
 
-	// Default in-process fleet size: enough workers to saturate the
-	// widest job, but no more than there are CPUs. The cap was measured
-	// when idle workers copied every in-flight shard; with only
-	// stragglers copied, K workers ran K = 3 faster on 2 CPUs (DESIGN.md,
-	// "Transport interface"), and the cap stays until a wider box is
-	// measured too.
-	procs := o.procs
-	if procs <= 0 {
-		for _, j := range jobs {
-			procs = max(procs, j.Shards)
-		}
-		procs = min(procs, runtime.NumCPU())
+	// The in-process fleet: enough workers for the widest job, but no
+	// more than CPUs. K workers won at K = 3 on 2 CPUs, but the cap bounds
+	// the shard state in flight: at K = 64, 2 workers took half the time
+	// and a fifth of the memory of 64 (DESIGN.md, "Transport interface").
+	procs := 0
+	for _, j := range jobs {
+		procs = max(procs, j.Shards)
 	}
+	procs = min(procs, runtime.NumCPU())
 	perWorker := o.perWorkerFanout(procs)
 	if o.reportDir != "" {
 		if err := os.MkdirAll(o.reportDir, 0o755); err != nil {
@@ -542,7 +526,6 @@ func (o *options) runFleet(specs []string) int {
 		ShardWorkers:      perWorker,
 		MergeWorkers:      o.workers,
 		Retries:           o.retries,
-		NoSteal:           o.noSteal,
 		Verify:            o.verify,
 		Token:             o.token,
 		HeartbeatInterval: o.heartbeat,

@@ -18,9 +18,10 @@ import (
 // mode selectors are rejected with a usage message and exit code 2,
 // never silently prioritized, and each mode insists on the flags it
 // needs. Rows naming -merge, -shard, -o or -no-warm pin that the
-// invocations of the deleted one-shot modes are now usage errors, and
-// rows naming -serve-stdio, -transport or -worker-die-after do the same
-// for the deleted subprocess fleet.
+// invocations of the deleted one-shot modes are now usage errors, rows
+// naming -serve-stdio, -transport or -worker-die-after do the same for
+// the deleted subprocess fleet, and rows naming -procs for the deleted
+// fleet-size flag.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -42,8 +43,8 @@ func TestFlagValidation(t *testing.T) {
 		{"shard with listen", []string{"-run", "x", "-shard", "0/2", "-listen", ":0"}, "flag provided but not defined: -shard"},
 		{"unknown transport", []string{"-run", "x", "-shards", "2", "-transport", "smoke-signals"}, "flag provided but not defined: -transport"},
 		{"tcp transport without listen", []string{"-run", "x", "-shards", "2", "-transport", "tcp"}, "flag provided but not defined: -transport"},
-		{"procs with tcp", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-procs", "3"}, "-procs sizes the in-process fleet"},
-		{"procs above the shard cap", []string{"-run", "x", "-shards", "2", "-procs", "4097"}, "above the fleet cap of 4096"},
+		{"procs with tcp", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-procs", "3"}, "flag provided but not defined: -procs"},
+		{"procs above the shard cap", []string{"-run", "x", "-shards", "2", "-procs", "4097"}, "flag provided but not defined: -procs"},
 		{"listen with subprocess transport", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-transport", "subprocess"}, "flag provided but not defined: -transport"},
 		{"die-after-assign on coordinator", []string{"-run", "x", "-shards", "2", "-die-after-assign", "1"}, "-die-after-assign is a worker flag"},
 		{"die-after-assign on one-shot", []string{"-run", "x", "-shard", "0/2", "-die-after-assign", "1"}, "flag provided but not defined: -shard"},
@@ -125,7 +126,7 @@ func TestInprocCoordinatorMatchesDirectRun(t *testing.T) {
 	want := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String() + "\n"
 	repDir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-run", "fig2-2", "-shards", "5", "-procs", "2", "-scale", "0.1", "-seed", "42",
+	code := run([]string{"-run", "fig2-2", "-shards", "5", "-scale", "0.1", "-seed", "42",
 		"-verify", "1", "-report-dir", repDir}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
@@ -154,7 +155,7 @@ func TestInprocCampaignMatchesDirectRuns(t *testing.T) {
 	}
 	repDir := filepath.Join(dir, "reports")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-campaign", "-procs", "2", "-shards", "3",
+	code := run([]string{"-campaign", "-shards", "3",
 		"-scale", "0.1", "-seed", "42", "-verify", "1", "-report-dir", repDir,
 		"fig2-2", "@" + jobFile}, &stdout, &stderr)
 	if code != 0 {
@@ -190,9 +191,8 @@ func TestInprocCampaignMatchesDirectRuns(t *testing.T) {
 	}
 }
 
-// TestDefaultFleetSize: without -procs (or -listen) the fleet is one
-// in-process worker per shard of the widest job, but never more workers
-// than CPUs. The -v summary's workers= counts the workers that joined.
+// TestDefaultFleetSize: without -listen the fleet is one in-process
+// worker per shard of the widest job, but never more workers than CPUs. The -v summary's workers= counts the workers that joined.
 func TestDefaultFleetSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments")

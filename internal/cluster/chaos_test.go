@@ -98,31 +98,46 @@ func TestChaosReportsByteIdentical(t *testing.T) {
 			}
 			join()
 
-			// In-process leg: faults restricted to the first conn (an
-			// in-process worker cannot reconnect — killing every conn
-			// would just exhaust the fleet), so the surviving workers
-			// absorb the requeued shards.
-			sp := &FaultPlan{
-				Seed:     11,
-				Corrupt:  0.03,
-				Drop:     0.02,
-				Dup:      0.02,
-				Delay:    0.1,
-				DelayBy:  time.Millisecond,
-				Conns:    1,
-				MaxKills: 2,
+			// In-process leg: worker 0's outbound frames, which carry the
+			// loop results, run under a mixed plan. An in-process worker
+			// cannot reconnect, so worker 0 serves alone until its
+			// connection dies, and the others then absorb the requeued
+			// shards; their unanswered challenges outlive its solo run
+			// under the long heartbeat budget. Alone, it streams at least a
+			// loop record and a done per shard, 11 frames with its hello,
+			// so if no other fault has fired by the 11th the partition
+			// does.
+			wplan := &FaultPlan{
+				Seed:           11,
+				Corrupt:        0.05,
+				Drop:           0.05,
+				Dup:            0.05,
+				Delay:          0.1,
+				DelayBy:        time.Millisecond,
+				PartitionAfter: 10,
+				MaxKills:       1,
 			}
+			w0gone := make(chan struct{})
 			inproc := NewInProcess(workers, func(i int, c Conn) {
+				if i == 0 {
+					defer close(w0gone)
+					InjectFaults(c, wplan.conn())
+				} else {
+					<-w0gone
+				}
 				Serve(c, ServeOptions{Name: fmt.Sprintf("chaos-inproc-%d", i), Workers: 1})
 			})
-			rep, stats, err = runOne(WithChaos(inproc, sp), job, Options{
+			rep, stats, err = runOne(inproc, job, Options{
 				ShardWorkers:      1,
 				Retries:           30,
 				HeartbeatInterval: 100 * time.Millisecond,
-				HeartbeatMisses:   10,
+				HeartbeatMisses:   600,
 			})
 			if err != nil {
 				t.Fatalf("chaotic in-process run: %v (stats %+v)", err, stats)
+			}
+			if kills := wplan.kills.Load(); kills < 1 {
+				t.Errorf("no fault killed worker 0's connection in process (stats %+v) — the leg proved nothing", stats)
 			}
 			if got := rep.String(); got != base {
 				t.Errorf("in-process report differs under chaos (stats %+v):\n--- clean ---\n%s\n--- chaotic ---\n%s", stats, base, got)
@@ -235,7 +250,6 @@ func TestCorruptFrameDetectedAndSalvaged(t *testing.T) {
 	rep, stats, err := runOne(tr, Job{Experiment: "fig3-1", Seed: 42, Scale: 0.1, Shards: 2}, Options{
 		ShardWorkers:      1,
 		Retries:           2,
-		NoSteal:           true,
 		HeartbeatInterval: -1, // no pings: worker 0's frame order is exact
 	})
 	if err != nil {
@@ -259,16 +273,22 @@ func TestCorruptFrameDetectedAndSalvaged(t *testing.T) {
 // TestUnauthenticatedWorkerRejected: with a token set on the
 // coordinator, a worker holding the wrong token is refused with a typed
 // rejection and counted, while the authenticated worker completes the
-// run byte-identically.
+// run byte-identically. The authenticated worker says hello only once
+// the intruder's session is over: otherwise the run can end before the
+// intruder reads its rejection, and closing the transport hands it a
+// closed pipe instead.
 func TestUnauthenticatedWorkerRejected(t *testing.T) {
 	exp, _ := experiments.ByID("fig2-2")
 	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
 	intruderErr := make(chan error, 1)
+	intruderGone := make(chan struct{})
 	tr := NewInProcess(2, func(i int, c Conn) {
 		if i == 0 {
+			defer close(intruderGone)
 			intruderErr <- Serve(c, ServeOptions{Name: "intruder", Workers: 1, Token: "wrong"})
 			return
 		}
+		<-intruderGone
 		Serve(c, ServeOptions{Name: "trusted", Workers: 1, Token: "s3cret"})
 	})
 	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
@@ -330,10 +350,11 @@ func TestWedgedWorkerConvertedToRetry(t *testing.T) {
 		<-assigned
 		Serve(c, ServeOptions{Name: "healthy", Workers: 1})
 	})
-	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 2}, Options{
+	// One shard: a job with no completed shard is never copied, so the
+	// requeue, not a steal, must recover it.
+	rep, stats, err := runOne(tr, Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1, Shards: 1}, Options{
 		ShardWorkers:      1,
 		Retries:           1,
-		NoSteal:           true, // the requeue, not a steal, must recover the shard
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatMisses:   8,
 	})

@@ -270,7 +270,6 @@ func TestLongRunningCoordinatorReleasesFinishedJobs(t *testing.T) {
 		defer close(done)
 		_, _, runErr = Run(&gatedTransport{inner: tracker, gate: gate}, []Job{job}, Options{
 			ShardWorkers: 1,
-			NoSteal:      true,
 			Control:      ctl,
 			Emit: func(ji int, _ Job, rep *experiments.Report) error {
 				if ji == 0 {

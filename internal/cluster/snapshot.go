@@ -17,9 +17,9 @@ import (
 // Snapshot value at the end of each iteration and stores it in an
 // atomic.Pointer, so a reader sees a complete, internally consistent
 // view of some recent loop state — reads cannot block, slow, or reorder
-// anything the loop does. Mutations (Submit/Cancel) enter the loop as
-// ordinary events through a forwarder goroutine, so they serialize with
-// dispatch exactly like a worker message.
+// anything the loop does. Mutations (Submit/Cancel) arrive in the
+// loop's select directly, so they serialize with dispatch exactly like a
+// worker message.
 
 // Snapshot is one immutable view of a running campaign, published by
 // the coordinator loop. Readers must not mutate it.
