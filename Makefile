@@ -336,22 +336,24 @@ cover:
 # handshake), the coordinator's admission of job specs, the scheduler
 # simulation's seeds, the hint protocol parsers, and the scenario
 # engine's AP lattice lookup against its linear scan (each target runs
-# alone, as `go test -fuzz` requires). CI runs the same targets at a
-# reduced FUZZTIME.
+# alone, as `go test -fuzz` requires). `-run '^$'` skips the package's
+# unit tests, which `ci` and `cover` already run; without it each line
+# first reran its whole package suite coverage-instrumented. CI runs the
+# same targets at a reduced FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz FuzzAccumulatorCodec -fuzztime $(FUZZTIME) ./internal/stats/
-	$(GO) test -fuzz FuzzHistogramCodec -fuzztime $(FUZZTIME) ./internal/stats/
-	$(GO) test -fuzz FuzzSeriesCodec -fuzztime $(FUZZTIME) ./internal/stats/
-	$(GO) test -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/stats/
-	$(GO) test -fuzz FuzzReadFrameSum -fuzztime $(FUZZTIME) ./internal/stats/
-	$(GO) test -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/cluster/
-	$(GO) test -fuzz FuzzHandshake -fuzztime $(FUZZTIME) ./internal/cluster/
-	$(GO) test -fuzz FuzzAdmit -fuzztime $(FUZZTIME) ./internal/cluster/
-	$(GO) test -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/cluster/
-	$(GO) test -fuzz FuzzParseTrailer -fuzztime $(FUZZTIME) ./internal/hintproto/
-	$(GO) test -fuzz FuzzParseHintFrame -fuzztime $(FUZZTIME) ./internal/hintproto/
-	$(GO) test -fuzz FuzzGridMatchesLinear -fuzztime $(FUZZTIME) ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzAccumulatorCodec -fuzztime $(FUZZTIME) ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzHistogramCodec -fuzztime $(FUZZTIME) ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzSeriesCodec -fuzztime $(FUZZTIME) ./internal/stats/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzReadFrameSum -fuzztime $(FUZZTIME) ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzHandshake -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzAdmit -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzParseTrailer -fuzztime $(FUZZTIME) ./internal/hintproto/
+	$(GO) test -run '^$$' -fuzz FuzzParseHintFrame -fuzztime $(FUZZTIME) ./internal/hintproto/
+	$(GO) test -run '^$$' -fuzz FuzzGridMatchesLinear -fuzztime $(FUZZTIME) ./internal/scenario/
 
 # Hint-serving-plane smoke over real UDP: boot a hintnode AP, throw a
 # hintload herd at it, kill the herd mid-run (its ACKs now hit dead

@@ -199,11 +199,11 @@ func startAP(addr string, cfg hintserve.Config, statsEvery time.Duration, addrFi
 	return h, nil
 }
 
-// runClients drives n concurrent client streams against the AP through
-// a worker pool, so a huge -workers value degrades gracefully instead
-// of opening unbounded sockets at once. A failing stream is logged and
-// the rest keep running; the run as a whole fails only when every
-// stream failed.
+// runClients drives n concurrent client streams against the AP, at most
+// 64 at once, so a huge -workers value degrades gracefully instead of
+// opening unbounded sockets at once. A failing stream is logged and the
+// rest keep running; the run as a whole fails only when every stream
+// failed.
 func runClients(to string, total time.Duration, n int) bool {
 	if n < 1 {
 		n = 1
@@ -211,25 +211,17 @@ func runClients(to string, total time.Duration, n int) bool {
 	var failed atomic.Int64
 	var mu sync.Mutex
 	var firstErr error
-	pool := parallel.NewPool(min(n, 64))
-	for id := 0; id < n; id++ {
-		id := id
-		if err := pool.Submit(func() {
-			if err := runClient(to, total, id); err != nil {
-				log.Printf("[client %d] stream failed: %v", id, err)
-				failed.Add(1)
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}); err != nil {
-			log.Printf("[client %d] submit failed: %v", id, err)
+	parallel.ForEach(min(n, 64), n, func(id int) {
+		if err := runClient(to, total, id); err != nil {
+			log.Printf("[client %d] stream failed: %v", id, err)
 			failed.Add(1)
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
 		}
-	}
-	pool.Close()
+	})
 	if nf := failed.Load(); nf > 0 {
 		log.Printf("%d/%d client streams failed (first error: %v)", nf, n, firstErr)
 		return nf < int64(n)

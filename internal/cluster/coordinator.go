@@ -220,15 +220,15 @@ func newNonce() string {
 
 // Run executes an ordered set of jobs over the transport's workers and
 // returns one result per job, in submission order; a single experiment
-// is a one-job run. Every job owns a shard queue; a worker going idle
-// takes the next fresh shard of the earliest incomplete job, then a
-// pending verification re-run, then a speculative copy of a straggler
-// — so shards of different experiments interleave in one
-// multi-queue and the tail of job i overlaps the head of job i+1. Shards
-// lost to dying workers re-dispatch within the per-shard retry budget,
-// the first completion of each shard wins, and each job's completed
-// shard set feeds experiments.MergeShards unchanged — so every report
-// is byte-identical to the single-process run of its job, whatever the
+// is a one-job run. Every job keeps one task ledger, its fresh shard
+// runs and its verification re-runs; a worker going idle takes the
+// first pending task of the earliest incomplete job, else a speculative
+// copy of a straggler — so shards of different experiments interleave
+// and the tail of job i overlaps the head of job i+1. Tasks lost to
+// dying workers re-dispatch within the per-shard retry budget, the
+// first completion of each task wins, and each job's completed shard
+// set feeds experiments.MergeShards unchanged — so every report is
+// byte-identical to the single-process run of its job, whatever the
 // transport, worker count, assignment order, interleaving, or failure
 // history. Reports also go out through o.Emit in submission order, each
 // the moment its merge (and verification sample) completes and its

@@ -1,15 +1,15 @@
 // Package cluster is the transport-abstracted, work-stealing execution
 // runtime for sharded experiments. A coordinator (Run, for an ordered
-// list of jobs; one experiment is a one-job run) owns one dynamic shard
-// queue (parallel.ShardQueue) per job and a set of worker connections
-// delivered by a Transport; workers (Serve) run shards through
-// experiments.RunShardStream and stream the per-loop partial records
-// back. Two transports exist — in-process goroutines and TCP — and
-// every job's report is byte-identical across both, for any worker
-// count, assignment order, speculative duplication, or worker death,
-// because every shard's content is a pure function of (experiment,
-// seed, scale, shard k/K) and the coordinator feeds the completed shard
-// set through the experiments.MergeShards contract unchanged.
+// list of jobs; one experiment is a one-job run) keeps one task ledger
+// per job and a set of worker connections delivered by a Transport;
+// workers (Serve) run shards through experiments.RunShardStream and
+// stream the per-loop partial records back. Two transports exist —
+// in-process goroutines and TCP — and every job's report is
+// byte-identical across both, for any worker count, assignment order,
+// speculative duplication, or worker death, because every shard's
+// content is a pure function of (experiment, seed, scale, shard k/K)
+// and the coordinator feeds the completed shard set through the
+// experiments.MergeShards contract unchanged.
 //
 // The wire protocol is a small typed message set carried in the
 // length-prefixed frames of internal/stats: one kind byte, then a JSON

@@ -2,12 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/parallel"
 	istats "repro/internal/stats"
 )
 
@@ -22,11 +23,10 @@ const drainTimeout = time.Minute
 type workerState struct {
 	id   int
 	name string
-	// curJob/curShard are the in-flight assignment, -1 when idle;
-	// curVerify marks it as a verification re-run of a completed shard.
-	curJob    int
-	curShard  int
-	curVerify bool
+	// curJob/curTask index the task in flight in its job's ledger, both
+	// -1 when the worker holds none.
+	curJob  int
+	curTask int
 	// assignedAt is when the in-flight assignment went out, the start
 	// the straggler rule measures from.
 	assignedAt time.Time
@@ -49,45 +49,51 @@ type workerState struct {
 	loopsDone   int
 }
 
-// verifyState tracks one sampled shard's verification: the canonical
-// encoding of the first completed result, who produced it, and the
-// dispatch state of the re-run.
-type verifyState struct {
-	first     []byte
-	firstID   int
-	firstName string
-	// inFlight counts live re-run dispatches (speculation allows two);
-	// resolved marks the verification confirmed.
-	inFlight int
-	resolved bool
-	// skipped marks that the preferred-different-worker rule already
-	// passed the task over once; after that any worker may take it, so
-	// a fleet that shrank to the original worker still makes progress.
+// task is one unit of a job's work: shard's fresh run or, with rerun
+// set, its verification re-run; both kinds follow the same rules.
+type task struct {
+	shard int
+	// live counts the copies computing now (at most two); done marks the
+	// first completion, which wins.
+	live int
+	// charges is the shard's failure count, kept on its fresh run and
+	// shared with its re-run.
+	charges     int
+	rerun, done bool
+	// ref is a re-run's reference, set when it becomes pending.
+	ref *reference
+}
+
+// reference is what a re-run is checked against: its shard's first
+// result, canonically encoded, and the worker that produced it. The
+// re-run passes that worker over once (skipped), not always, so a fleet
+// shrunk to it still finishes.
+type reference struct {
+	first   []byte
+	firstID int
 	skipped bool
 }
 
-// jobState is the per-job half of the coordinator state: the dynamic
-// shard queue, the completed partials, the failure ledger, and the
-// verification sample.
+// jobState is the per-job half of the coordinator state: the task
+// ledger, the completed partials and the straggler sample.
 type jobState struct {
-	job   Job
-	queue *parallel.ShardQueue
+	job Job
+	// tasks holds shard k's fresh run at index k, then one re-run per
+	// shard of the verification sample, in ascending shard order.
+	// pending lists the tasks awaiting a worker, head first: the fresh
+	// runs from admission, a re-run once its shard's first result lands,
+	// and at the front any task whose last live copy was lost.
+	tasks   []task
+	pending []int
+	// freshLeft counts fresh runs not done (the merge starts at 0), left
+	// all tasks not done (the report waits for 0).
+	freshLeft, left int
 	// partials is released once the merge starts, and merged once the
 	// report is delivered, so a long-running coordinator holds the
 	// results of in-flight jobs only.
 	partials []*experiments.Partial
-	failures []int
 	// times feeds the straggler rule.
-	times shardTimes
-	// verify maps sampled shard index → verification state; sampled
-	// lists the sampled indices in ascending order (the deterministic
-	// iteration order for speculative re-dispatch); verifyLeft counts
-	// samples not yet confirmed, verifyQueue the samples whose first
-	// result arrived and whose re-run awaits a worker.
-	verify       map[int]*verifyState
-	sampled      []int
-	verifyLeft   int
-	verifyQueue  []int
+	times        shardTimes
 	merged       *experiments.Report
 	mergeStarted bool
 	// cancelled marks a job withdrawn through the control plane: its
@@ -123,7 +129,6 @@ type scheduler struct {
 	states             []*jobState
 	results            []Result
 	workers            []*workerState
-	idle               []*workerState
 	open, nextEmit     int
 	stats              RunStats
 	err                error
@@ -183,18 +188,21 @@ func (s *scheduler) admit(j Job) (int, error) {
 		return 0, fmt.Errorf("cluster: job %d (%s): %w: %d jobs admitted and not yet delivered", ji, j.Experiment, ErrQueueFull, s.open)
 	}
 	s.open++
+	sample := VerifySample(j, ji, s.o.Verify)
 	js := &jobState{
-		job:      j,
-		queue:    parallel.NewShardQueue(j.Shards),
-		partials: make([]*experiments.Partial, j.Shards),
-		failures: make([]int, j.Shards),
-		verify:   map[int]*verifyState{},
-		sampled:  VerifySample(j, ji, s.o.Verify),
+		job:       j,
+		tasks:     make([]task, j.Shards, j.Shards+len(sample)),
+		pending:   make([]int, j.Shards),
+		freshLeft: j.Shards,
+		left:      j.Shards + len(sample),
+		partials:  make([]*experiments.Partial, j.Shards),
 	}
-	for _, k := range js.sampled {
-		js.verify[k] = &verifyState{}
+	for k := range js.pending {
+		js.tasks[k].shard, js.pending[k] = k, k
 	}
-	js.verifyLeft = len(js.sampled)
+	for _, k := range sample {
+		js.tasks = append(js.tasks, task{shard: k, rerun: true})
+	}
 	s.states = append(s.states, js)
 	return ji, nil
 }
@@ -203,7 +211,7 @@ func (s *scheduler) admit(j Job) (int, error) {
 // hello must answer before the heartbeat cutoff or the tick reaps it.
 func (s *scheduler) accept(now time.Time, nonce string) int {
 	s.now = now
-	w := &workerState{id: len(s.workers), curJob: -1, curShard: -1, nonce: nonce, lastSeen: now, connectedAt: now}
+	w := &workerState{id: len(s.workers), curJob: -1, curTask: -1, nonce: nonce, lastSeen: now, connectedAt: now}
 	s.workers = append(s.workers, w)
 	s.send(w, &Challenge{Version: ProtoVersion, Nonce: nonce, PingMs: int(s.hbInterval / time.Millisecond), CutoffMs: int(s.cutoff / time.Millisecond)})
 	return w.id
@@ -235,8 +243,8 @@ func (s *scheduler) lost(now time.Time, id int, err error) {
 		s.stats.CorruptFrames++
 		s.logf("cluster: integrity failure on worker %s's connection: %v", w.name, err)
 	}
-	if w.curShard >= 0 {
-		s.logf("cluster: worker %s died holding job %d shard %d/%d: %v", w.name, w.curJob, w.curShard, s.states[w.curJob].job.Shards, err)
+	if t := s.held(w); t != nil {
+		s.logf("cluster: worker %s died holding job %d shard %d/%d: %v", w.name, w.curJob, t.shard, s.states[w.curJob].job.Shards, err)
 	} else {
 		s.logf("cluster: worker %s disconnected: %v", w.name, err)
 	}
@@ -274,9 +282,7 @@ func (s *scheduler) recv(now time.Time, id int, msg Message) {
 	case *Pong:
 		// Liveness answer; lastSeen is already refreshed above.
 	case *LoopResult:
-		// An idle worker holds nothing, whatever pair (-1s too) it names.
-		if w.curShard < 0 || m.Job != w.curJob || m.Shard != w.curShard {
-			s.violation(w, fmt.Sprintf("loop result for job %d shard %d while holding job %d shard %d", m.Job, m.Shard, w.curJob, w.curShard))
+		if !s.holds(w, "loop result", m.Job, m.Shard) {
 			break
 		}
 		w.loopsDone++
@@ -284,79 +290,62 @@ func (s *scheduler) recv(now time.Time, id int, msg Message) {
 			w.loops = append(w.loops, m.Loop)
 		}
 	case *ShardDone:
-		if w.curShard < 0 || m.Job != w.curJob || m.Shard != w.curShard {
-			s.violation(w, fmt.Sprintf("done for job %d shard %d while holding job %d shard %d", m.Job, m.Shard, w.curJob, w.curShard))
-			break
+		if s.holds(w, "done", m.Job, m.Shard) {
+			s.shardDone(w)
 		}
-		s.shardDone(w)
 	case *ShardError:
-		if w.curShard < 0 || m.Job != w.curJob || m.Shard != w.curShard {
-			s.violation(w, fmt.Sprintf("error for job %d shard %d while holding job %d shard %d", m.Job, m.Shard, w.curJob, w.curShard))
-			break
+		if s.holds(w, "error", m.Job, m.Shard) {
+			s.salvage(w, fmt.Errorf("worker %s: %s", w.name, m.Msg))
 		}
-		s.salvage(w, fmt.Errorf("worker %s: %s", w.name, m.Msg))
-		s.dispatch(w)
 	default:
 		s.violation(w, fmt.Sprintf("unexpected %T", msg))
 	}
 	s.settle()
 }
 
-// shardDone takes w's finished assignment: the first completion of a
-// shard wins, and a verification re-run is byte-compared with it.
+// shardDone takes w's finished task: the first completion wins, and
+// every copy of a re-run is byte-compared with its shard's first result.
 func (s *scheduler) shardDone(w *workerState) {
-	ji, k, verify := w.curJob, w.curShard, w.curVerify
-	js := s.states[ji]
-	loops := w.loops
-	took := s.now.Sub(w.assignedAt)
-	w.curJob, w.curShard, w.curVerify = -1, -1, false
-	w.loops = nil
+	ji, js, t := w.curJob, s.states[w.curJob], s.held(w)
+	k, loops, took := t.shard, w.loops, s.now.Sub(w.assignedAt)
+	w.curJob, w.curTask, w.loops = -1, -1, nil
 	w.shardsDone++
+	t.live--
 	switch {
 	case js.cancelled:
-		// The job was withdrawn while this shard was in flight: keep the
-		// copy accounting coherent, throw the result away, and put the
-		// worker back to work.
-		if verify {
-			if vs := js.verify[k]; vs != nil && vs.inFlight > 0 {
-				vs.inFlight--
-			}
-		} else {
-			js.queue.Complete(k)
-		}
+		// The job was withdrawn while this copy was in flight: throw the
+		// result away and put the worker back to work.
 		s.stats.Discarded++
 		s.logf("cluster: discarding result for cancelled job %d shard %d/%d from %s", ji, k, js.job.Shards, w.name)
-	case verify:
-		vs := js.verify[k]
-		if vs.inFlight > 0 {
-			vs.inFlight--
-		}
+	case t.rerun:
 		enc, err := experiments.CanonicalLoops(loops)
 		if err != nil {
 			s.abort(fmt.Errorf("cluster: encoding verification re-run of job %d shard %d/%d: %w", ji, k, js.job.Shards, err))
 			return
 		}
-		if !bytes.Equal(enc, vs.first) {
-			s.abort(&VerifyError{Job: ji, Experiment: js.job.Experiment, Shard: k, Shards: js.job.Shards, First: vs.firstName, Second: w.name})
+		first := s.workers[t.ref.firstID].name
+		if !bytes.Equal(enc, t.ref.first) {
+			s.abort(&VerifyError{Job: ji, Experiment: js.job.Experiment, Shard: k, Shards: js.job.Shards, First: first, Second: w.name})
 			return
 		}
-		if vs.resolved {
-			// A speculative duplicate of an already-confirmed re-run; it
-			// matched too, nothing more to record.
+		if t.done {
 			s.stats.Discarded++
 			s.logf("cluster: discarding duplicate verification of job %d shard %d/%d from %s", ji, k, js.job.Shards, w.name)
 			break
 		}
-		vs.resolved = true
-		js.verifyLeft--
+		t.done = true
+		js.left--
 		s.stats.Verified++
-		s.logf("cluster: job %d shard %d/%d verified: %s matches %s byte for byte", ji, k, js.job.Shards, w.name, vs.firstName)
+		s.logf("cluster: job %d shard %d/%d verified: %s matches %s byte for byte", ji, k, js.job.Shards, w.name, first)
 		s.tryEmit()
 		s.drain()
-	case !js.queue.Complete(k):
+	case t.done:
 		s.stats.Discarded++
 		s.logf("cluster: discarding duplicate result for job %d shard %d/%d from %s", ji, k, js.job.Shards, w.name)
 	default:
+		t.done = true
+		js.freshLeft--
+		js.left--
 		js.times.add(took)
 		js.partials[k] = &experiments.Partial{
 			Version:    experiments.PartialVersion,
@@ -368,22 +357,24 @@ func (s *scheduler) shardDone(w *workerState) {
 			Scale:      js.job.Scale,
 			Loops:      loops,
 		}
-		if vs := js.verify[k]; vs != nil {
+		if js.freshLeft == 0 {
+			s.startMerge(ji)
+		}
+		s.drain()
+		reruns := js.tasks[js.job.Shards:]
+		if i, ok := slices.BinarySearchFunc(reruns, k, func(r task, k int) int { return cmp.Compare(r.shard, k) }); ok {
 			enc, err := experiments.CanonicalLoops(loops)
 			if err != nil {
 				s.abort(fmt.Errorf("cluster: encoding job %d shard %d/%d for verification: %w", ji, k, js.job.Shards, err))
 				return
 			}
-			vs.first = enc
-			vs.firstID = w.id
-			vs.firstName = w.name
-			js.verifyQueue = append(js.verifyQueue, k)
-			s.pump() // an idle second worker can start the re-run now
+			reruns[i].ref = &reference{first: enc, firstID: w.id}
+			js.pending = append(js.pending, js.job.Shards+i)
+			// The new re-run goes to every parked worker, w among them
+			// (it passes w over); w is not offered work twice.
+			s.pump()
+			return
 		}
-		if js.queue.Done() {
-			s.startMerge(ji)
-		}
-		s.drain()
 	}
 	s.dispatch(w)
 }
@@ -429,8 +420,6 @@ func (s *scheduler) cancel(now time.Time, ji int) error {
 		return fmt.Errorf("cluster: cancel: job %d (%s) already completed", ji, js.job.Experiment)
 	}
 	js.cancelled = true
-	js.verifyLeft = 0
-	js.verifyQueue = nil
 	s.open--
 	s.stats.Cancelled++
 	s.logf("cluster: control: cancelled job %d (%s)", ji, js.job.Experiment)
@@ -450,7 +439,7 @@ func (s *scheduler) next() time.Time {
 	if !s.drained {
 		at = earliest(at, s.drainAt)
 	}
-	if len(s.idle) > 0 {
+	if slices.ContainsFunc(s.workers, (*workerState).parked) {
 		pick, due := pickStraggler(s.now, s.speculable(), s.threshold)
 		if pick >= 0 {
 			return s.now
@@ -483,8 +472,8 @@ func (s *scheduler) wake(now time.Time) {
 		// straggler cannot hold the (already merged) campaign hostage.
 		// Salvaging a discarded copy only returns it: its work is done.
 		for _, w := range s.workers {
-			if !w.dead && w.curShard >= 0 {
-				s.logf("cluster: cutting off straggler %s still computing discarded job %d shard %d/%d after drain timeout", w.name, w.curJob, w.curShard, s.states[w.curJob].job.Shards)
+			if t := s.held(w); t != nil && !w.dead {
+				s.logf("cluster: cutting off straggler %s still computing discarded job %d shard %d/%d after drain timeout", w.name, w.curJob, t.shard, s.states[w.curJob].job.Shards)
 				s.teardown(w, false)
 				s.salvage(w, errors.New("cut off after the drain timeout"))
 			}
@@ -530,12 +519,12 @@ func (s *scheduler) settle() {
 		if js.cancelled {
 			continue
 		}
-		p, i, c := js.queue.Counts()
-		pend += p
-		inflight += i
-		completed += c
-		total += js.job.Shards
-		verLeft += js.verifyLeft
+		st := js.status()
+		pend += st.Queued
+		inflight += st.InFlight
+		completed += st.Completed
+		total += st.Shards
+		verLeft += st.VerifySampled - st.Verified
 	}
 	stall := fmt.Errorf("cluster: all workers gone with %d of %d shards incomplete (%d queued, %d in flight, %d verifications outstanding)",
 		total-completed, total, pend, inflight, verLeft)
@@ -557,7 +546,7 @@ func (s *scheduler) over() bool {
 		return false
 	}
 	for _, w := range s.workers {
-		if !w.dead && w.curShard >= 0 {
+		if !w.dead && w.curTask >= 0 {
 			return false
 		}
 	}
@@ -607,12 +596,12 @@ func (s *scheduler) abort(err error) {
 }
 
 // allDone reports whether no further worker-side work can exist: every
-// live job's queue is complete and every verification confirmed
+// task of every live job is done, fresh runs and re-runs alike
 // (cancelled jobs owe nothing). Merges and report delivery may still be
 // outstanding.
 func (s *scheduler) allDone() bool {
 	for _, js := range s.states {
-		if !js.cancelled && (!js.queue.Done() || js.verifyLeft > 0) {
+		if !js.cancelled && js.left > 0 {
 			return false
 		}
 	}
@@ -632,7 +621,7 @@ func (s *scheduler) tryEmit() {
 			s.nextEmit++
 			continue
 		}
-		if js.merged == nil || js.verifyLeft > 0 {
+		if js.merged == nil || js.left > 0 {
 			return
 		}
 		if s.nextEmit < len(s.results) {
@@ -672,47 +661,35 @@ func (s *scheduler) startMerge(ji int) {
 	s.out = append(s.out, effect{job: ji, parts: parts})
 }
 
-// fail returns one lost dispatch of job ji's shard k to where it came
-// from: a fresh run to the job's queue, a verification re-run to the
-// verify queue. The failure budget is charged — and, when exhausted,
-// the run aborted — only when no other copy is still computing: a loss
-// that speculation already covers is not a loss of progress.
-func (s *scheduler) fail(ji, k int, verify bool, cause error) {
+// fail returns one lost copy of job ji's task ti. The shard's failure
+// budget is charged (and the run aborted once it is spent) only when
+// the loss costs progress: the task is not done, its job not cancelled,
+// and no other copy is still computing. The task then goes back to the
+// front of its job's pending tasks, to retry before any speculation.
+func (s *scheduler) fail(ji, ti int, cause error) {
 	js := s.states[ji]
+	t := &js.tasks[ti]
+	t.live--
 	what := "shard"
-	var live int
-	var done bool
-	if verify {
+	if t.rerun {
 		what = "verification of shard"
-		vs := js.verify[k]
-		if vs.inFlight > 0 {
-			vs.inFlight--
-		}
-		live, done = vs.inFlight, vs.resolved
-	} else {
-		// The dispatch always comes back, even for a completed shard —
-		// Requeue on a done shard only fixes the live-copy accounting.
-		live, done = js.queue.Requeue(k), js.queue.Completed(k)
 	}
-	if js.cancelled || done {
-		// A cancelled job charges no budget: the loss costs nothing
-		// because the result would have been discarded anyway.
+	switch {
+	case t.done || js.cancelled:
+		return
+	case t.live > 0:
+		s.logf("cluster: a copy of job %d %s %d/%d failed, %d live copies remain: %v", ji, what, t.shard, js.job.Shards, t.live, cause)
 		return
 	}
-	if live > 0 {
-		s.logf("cluster: a copy of job %d %s %d/%d failed, %d live copies remain: %v", ji, what, k, js.job.Shards, live, cause)
-		return
-	}
-	js.failures[k]++
+	js.pending = slices.Insert(js.pending, 0, ti)
+	n := &js.tasks[t.shard].charges
+	*n++
 	s.stats.Requeued++
-	if js.failures[k] > max(s.o.Retries, 0) {
-		s.abort(fmt.Errorf("cluster: job %d (%s): %s %d/%d failed %d times, last: %w", ji, js.job.Experiment, what, k, js.job.Shards, js.failures[k], cause))
+	if *n > max(s.o.Retries, 0) {
+		s.abort(fmt.Errorf("cluster: job %d (%s): %s %d/%d failed %d times, last: %w", ji, js.job.Experiment, what, t.shard, js.job.Shards, *n, cause))
 		return
 	}
-	s.logf("cluster: requeueing job %d %s %d/%d after failure %d/%d: %v", ji, what, k, js.job.Shards, js.failures[k], max(s.o.Retries, 0), cause)
-	if verify {
-		js.verifyQueue = append(js.verifyQueue, k)
-	}
+	s.logf("cluster: requeueing job %d %s %d/%d after failure %d/%d: %v", ji, what, t.shard, js.job.Shards, *n, max(s.o.Retries, 0), cause)
 }
 
 func (s *scheduler) stopWorker(w *workerState) {
@@ -722,9 +699,36 @@ func (s *scheduler) stopWorker(w *workerState) {
 	}
 }
 
-func (s *scheduler) assign(w *workerState, ji, k int, verify bool) {
+// held is the task w is computing, nil when it holds none.
+func (s *scheduler) held(w *workerState) *task {
+	if w.curTask < 0 {
+		return nil
+	}
+	return &s.states[w.curJob].tasks[w.curTask]
+}
+
+// holds reports whether w is computing job ji's shard k. A worker that
+// reports on any other pair, or on any pair while holding none (its -1s
+// included), broke the protocol and is dropped.
+func (s *scheduler) holds(w *workerState, what string, ji, k int) bool {
+	if t := s.held(w); t != nil && ji == w.curJob && k == t.shard {
+		return true
+	}
+	s.violation(w, fmt.Sprintf("%s for job %d shard %d while holding job %d task %d", what, ji, k, w.curJob, w.curTask))
+	return false
+}
+
+// parked reports whether w waits for work: it said hello, is neither
+// stopped nor dead, and holds no task.
+func (w *workerState) parked() bool {
+	return w.helloed && !w.stopped && !w.dead && w.curTask < 0
+}
+
+func (s *scheduler) assign(w *workerState, ji, ti int) {
 	js := s.states[ji]
-	w.curJob, w.curShard, w.curVerify = ji, k, verify
+	t := &js.tasks[ti]
+	t.live++
+	w.curJob, w.curTask = ji, ti
 	w.assignedAt = s.now
 	w.loops = nil
 	s.send(w, &Assign{
@@ -733,43 +737,34 @@ func (s *scheduler) assign(w *workerState, ji, k int, verify bool) {
 		Seed:       js.job.Seed,
 		Scale:      js.job.Scale,
 		Workers:    s.o.ShardWorkers,
-		Shard:      k,
+		Shard:      t.shard,
 		Shards:     js.job.Shards,
 	})
 }
 
 // speculable lists the live copies the straggler rule may duplicate:
-// the only live copy of an incomplete shard, and the only live copy of
-// an unresolved verification re-run.
+// the only live copy of a task not done, in a job not cancelled.
 func (s *scheduler) speculable() []liveCopy {
 	var out []liveCopy
-	for _, h := range s.workers {
-		if h.dead || h.curShard < 0 || s.states[h.curJob].cancelled {
-			continue
+	for _, w := range s.workers {
+		if t := s.held(w); t != nil && !w.dead && t.live == 1 && !t.done && !s.states[w.curJob].cancelled {
+			out = append(out, liveCopy{job: w.curJob, task: w.curTask, since: w.assignedAt})
 		}
-		js := s.states[h.curJob]
-		if h.curVerify {
-			if vs := js.verify[h.curShard]; vs.resolved || vs.inFlight != 1 {
-				continue
-			}
-		} else if !js.queue.Stealable(h.curShard) {
-			continue
-		}
-		out = append(out, liveCopy{job: h.curJob, shard: h.curShard, verify: h.curVerify, since: h.assignedAt})
 	}
 	return out
 }
 
 func (s *scheduler) threshold(ji int) (time.Duration, bool) { return s.states[ji].times.threshold() }
 
-// dispatch hands the next unit of work to a free worker — the earliest
-// incomplete job's next fresh shard, then a pending verification
-// re-run, then a speculative copy of a straggler — or parks it idle.
-// Fresh shards of job i always beat fresh shards of job i+1, so the
-// campaign progresses in submission order while never idling a worker
-// that job i can no longer feed.
+// dispatch hands a parked worker its next task: the first pending task
+// it may take of the earliest live job, else a speculative copy of a
+// straggler; with neither it stays parked. A re-run passes over the
+// worker that produced its shard's first result once, while another
+// worker that said hello is alive. Job i's pending tasks go before job
+// i+1's, so the campaign progresses in submission order while never
+// idling a worker that job i can no longer feed.
 func (s *scheduler) dispatch(w *workerState) {
-	if w.dead || w.stopped || s.err != nil {
+	if !w.parked() || s.err != nil {
 		return
 	}
 	if s.allDone() {
@@ -780,73 +775,62 @@ func (s *scheduler) dispatch(w *workerState) {
 		if js.cancelled {
 			continue
 		}
-		if shard, ok := js.queue.Next(); ok {
-			s.stats.Assigned++
-			s.assign(w, ji, shard.Index, false)
-			return
-		}
-		for qi, k := range js.verifyQueue {
-			vs := js.verify[k]
-			if vs.firstID == w.id && s.alive(true) > 1 && !vs.skipped {
-				// Prefer a genuinely second worker; pass over once, then
-				// let anyone take it so a shrunken fleet still finishes.
-				vs.skipped = true
+		for pi, ti := range js.pending {
+			t := &js.tasks[ti]
+			if t.rerun && t.ref.firstID == w.id && !t.ref.skipped && s.alive(true) > 1 {
+				t.ref.skipped = true
 				continue
 			}
-			js.verifyQueue = append(js.verifyQueue[:qi], js.verifyQueue[qi+1:]...)
-			vs.inFlight++
-			s.logf("cluster: worker %s re-executing job %d shard %d/%d for verification (first by %s)", w.name, ji, k, js.job.Shards, vs.firstName)
-			s.assign(w, ji, k, true)
+			if pi == 0 {
+				js.pending = js.pending[1:]
+			} else {
+				js.pending = slices.Delete(js.pending, pi, pi+1)
+			}
+			if t.rerun {
+				s.logf("cluster: worker %s re-executing job %d shard %d/%d for verification (first by %s)", w.name, ji, t.shard, js.job.Shards, s.workers[t.ref.firstID].name)
+			} else {
+				s.stats.Assigned++
+			}
+			s.assign(w, ji, ti)
 			return
 		}
 	}
-	// Speculation: a second copy of a straggler, a fresh shard or a
-	// verification re-run whose only live copy has run past its job's
-	// threshold; the first result wins and the other copy's is
-	// discarded. For a verification re-run this is a liveness mechanism
-	// (a hung verifier cannot stall the campaign), and any worker
-	// qualifies (the different-worker preference had its chance when
-	// the re-run was first dispatched).
+	// Speculation: a second copy of a task whose only live copy has run
+	// past its job's straggler threshold; the first result wins and the
+	// other copy's is discarded (a re-run's is still compared). For a
+	// re-run this is a liveness mechanism (a hung verifier cannot stall
+	// the campaign), and any worker qualifies.
 	copies := s.speculable()
 	if pick, _ := pickStraggler(s.now, copies, s.threshold); pick >= 0 {
 		c := copies[pick]
-		js := s.states[c.job]
-		if c.verify {
-			js.verify[c.shard].inFlight++
-		} else if _, ok := js.queue.Steal(c.shard); !ok {
-			s.abort(fmt.Errorf("cluster: internal error: job %d shard %d/%d listed as a straggler but not stealable", c.job, c.shard, js.job.Shards))
-			return
-		}
+		js, t := s.states[c.job], &s.states[c.job].tasks[c.task]
 		s.stats.Stolen++
 		s.logf("cluster: worker %s speculating on job %d shard %d/%d (verify=%v): its copy has run %v, over %d× the job's median shard time",
-			w.name, c.job, c.shard, js.job.Shards, c.verify, s.now.Sub(c.since).Round(time.Millisecond), stragglerFactor)
-		s.assign(w, c.job, c.shard, c.verify)
-		return
+			w.name, c.job, t.shard, js.job.Shards, t.rerun, s.now.Sub(c.since).Round(time.Millisecond), stragglerFactor)
+		s.assign(w, c.job, c.task)
 	}
-	s.idle = append(s.idle, w)
 }
 
-// pump re-dispatches every parked worker after a queue refills, not just
-// up to the first that parks again: a verification re-run passes over
-// its first result's worker. Workers torn down since leave idle here.
+// pump offers work to every parked worker, in id order, after an input
+// that added work or freed a worker. Each is asked, not just up to the
+// first that stays parked: a re-run passes over its first result's
+// worker.
 func (s *scheduler) pump() {
-	parked := s.idle
-	s.idle = nil
-	for _, w := range parked {
+	for _, w := range s.workers {
 		s.dispatch(w)
 	}
 }
 
-// salvage recovers the assignment a worker abandoned (death or protocol
-// violation): fresh shards return to their queue, verification re-runs
-// to the verify queue.
+// salvage recovers the task a worker abandoned (death, protocol
+// violation or error reply) and offers work to the parked workers, w
+// among them after an error reply.
 func (s *scheduler) salvage(w *workerState, cause error) {
-	ji, k, verify := w.curJob, w.curShard, w.curVerify
-	w.curJob, w.curShard, w.curVerify = -1, -1, false
-	if k < 0 {
+	if w.curTask < 0 {
 		return
 	}
-	s.fail(ji, k, verify, cause)
+	ji, ti := w.curJob, w.curTask
+	w.curJob, w.curTask = -1, -1
+	s.fail(ji, ti, cause)
 	s.pump()
 }
 
@@ -865,7 +849,7 @@ func (s *scheduler) drain() {
 		return
 	}
 	for _, w := range s.workers {
-		if !w.dead && w.curShard < 0 {
+		if !w.dead && w.curTask < 0 {
 			s.stopWorker(w)
 		}
 	}
@@ -874,33 +858,43 @@ func (s *scheduler) drain() {
 	}
 }
 
+// status reads a job's counts off its ledger. They cover fresh runs
+// only (in flight counts live copies, a speculative one apart); re-runs
+// show in Verified.
+func (js *jobState) status() JobStatus {
+	k := js.job.Shards
+	st := JobStatus{Experiment: js.job.Experiment, Seed: js.job.Seed, Scale: js.job.Scale, Shards: k, VerifySampled: len(js.tasks) - k}
+	st.Verified = st.VerifySampled - (js.left - js.freshLeft)
+	b := make([]byte, k)
+	for i, t := range js.tasks[:k] {
+		st.InFlight += t.live
+		st.Failures += t.charges
+		switch {
+		case t.done:
+			b[i] = 'd'
+			st.Completed++
+		case t.live > 0:
+			b[i] = 'f'
+		default:
+			b[i] = 'q'
+		}
+	}
+	for _, ti := range js.pending {
+		if ti < k {
+			st.Queued++
+		}
+	}
+	st.ShardStates = string(b)
+	return st
+}
+
 // snapshot builds an immutable Snapshot at now; done marks the final one.
 func (s *scheduler) snapshot(now time.Time, done bool) *Snapshot {
 	snap := &Snapshot{StartedAt: s.startedAt, At: now, Done: done, Stats: s.stats,
 		Jobs: make([]JobStatus, 0, len(s.states)), Workers: make([]WorkerStatus, 0, len(s.workers))}
 	for ji, js := range s.states {
-		pend, inflight, completed := js.queue.Counts()
-		st := JobStatus{
-			Index:         ji,
-			Experiment:    js.job.Experiment,
-			Seed:          js.job.Seed,
-			Scale:         js.job.Scale,
-			Shards:        js.job.Shards,
-			Queued:        pend,
-			InFlight:      inflight,
-			Completed:     completed,
-			VerifySampled: len(js.sampled),
-			Verified:      len(js.sampled) - js.verifyLeft,
-		}
-		for _, n := range js.failures {
-			st.Failures += n
-		}
-		phases := js.queue.States()
-		b := make([]byte, len(phases))
-		for k, ph := range phases {
-			b[k] = "qfd"[ph] // queued, in flight, completed
-		}
-		st.ShardStates = string(b)
+		st := js.status()
+		st.Index = ji
 		switch {
 		case js.cancelled:
 			st.State = "cancelled"
@@ -908,13 +902,13 @@ func (s *scheduler) snapshot(now time.Time, done bool) *Snapshot {
 			st.State = "done"
 		case js.mergeStarted:
 			st.State = "merging"
-		case completed == 0 && inflight == 0:
+		case st.Completed == 0 && st.InFlight == 0:
 			st.State = "queued"
 		default:
 			st.State = "running"
 		}
 		if !js.cancelled {
-			snap.QueueDepth += pend
+			snap.QueueDepth += st.Queued
 		}
 		snap.Jobs = append(snap.Jobs, st)
 	}
@@ -923,17 +917,20 @@ func (s *scheduler) snapshot(now time.Time, done bool) *Snapshot {
 			ID:         w.id,
 			Name:       w.name,
 			Job:        w.curJob,
-			Shard:      w.curShard,
-			Verify:     w.curVerify,
+			Shard:      -1,
 			ShardsDone: w.shardsDone,
 			LoopsDone:  w.loopsDone,
+		}
+		t := s.held(w)
+		if t != nil {
+			ws.Shard, ws.Verify = t.shard, t.rerun
 		}
 		switch {
 		case w.dead:
 			ws.State = "dead"
 		case !w.helloed:
 			ws.State = "handshake"
-		case w.curShard >= 0:
+		case t != nil:
 			ws.State = "busy"
 		case w.stopped:
 			ws.State = "stopped"

@@ -42,10 +42,9 @@ func (s shardTimes) threshold() (d time.Duration, ok bool) {
 }
 
 // liveCopy is one dispatch the rule may speculate on: the only live copy
-// of an incomplete shard, or of an unresolved verification re-run.
+// of a task not done, by its index in its job's ledger.
 type liveCopy struct {
-	job, shard int
-	verify     bool
+	job, task int
 	// since is when the copy was assigned.
 	since time.Time
 }

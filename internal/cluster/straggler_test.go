@@ -24,14 +24,14 @@ func TestStragglerRule(t *testing.T) {
 	}{
 		{
 			name:   "no completed shard: no steal",
-			copies: []liveCopy{{job: 0, shard: 0, since: t0}},
+			copies: []liveCopy{{job: 0, task: 0, since: t0}},
 			now:    at(time.Hour),
 			pick:   -1,
 		},
 		{
 			name:   "elapsed equal to k × median: no steal",
 			done:   map[int][]time.Duration{0: {100 * ms}},
-			copies: []liveCopy{{job: 0, shard: 0, since: t0}},
+			copies: []liveCopy{{job: 0, task: 0, since: t0}},
 			now:    at(200 * ms),
 			pick:   -1,
 			next:   at(200 * ms),
@@ -40,8 +40,8 @@ func TestStragglerRule(t *testing.T) {
 			name: "elapsed over k × median: steal that shard, not the lowest index",
 			done: map[int][]time.Duration{0: {100 * ms}},
 			copies: []liveCopy{
-				{job: 0, shard: 0, since: at(150 * ms)},
-				{job: 0, shard: 2, since: t0},
+				{job: 0, task: 0, since: at(150 * ms)},
+				{job: 0, task: 2, since: t0},
 			},
 			now:  at(201 * ms),
 			pick: 1,
@@ -50,7 +50,7 @@ func TestStragglerRule(t *testing.T) {
 		{
 			name:   "median of an even sample is the mean of the middle two",
 			done:   map[int][]time.Duration{0: {300 * ms, 100 * ms, 900 * ms, 50 * ms}},
-			copies: []liveCopy{{job: 0, shard: 1, since: t0}},
+			copies: []liveCopy{{job: 0, task: 1, since: t0}},
 			now:    at(400 * ms),
 			pick:   -1,
 			next:   at(400 * ms),
@@ -59,8 +59,8 @@ func TestStragglerRule(t *testing.T) {
 			name: "a job without a completed shard is skipped beside one with",
 			done: map[int][]time.Duration{1: {10 * ms}},
 			copies: []liveCopy{
-				{job: 0, shard: 0, since: t0},
-				{job: 1, shard: 3, since: at(100 * ms)},
+				{job: 0, task: 0, since: t0},
+				{job: 1, task: 3, since: at(100 * ms)},
 			},
 			now:  at(time.Second),
 			pick: 1,
@@ -69,10 +69,10 @@ func TestStragglerRule(t *testing.T) {
 			name: "earliest job first, then the longest-running copy",
 			done: map[int][]time.Duration{0: {10 * ms}, 1: {10 * ms}},
 			copies: []liveCopy{
-				{job: 1, shard: 0, since: t0},
-				{job: 0, shard: 1, since: at(50 * ms)},
-				{job: 0, shard: 2, since: at(40 * ms), verify: true},
-				{job: 0, shard: 3, since: at(995 * ms)},
+				{job: 1, task: 0, since: t0},
+				{job: 0, task: 1, since: at(50 * ms)},
+				{job: 0, task: 2, since: at(40 * ms)},
+				{job: 0, task: 3, since: at(995 * ms)},
 			},
 			now:  at(time.Second),
 			pick: 2,

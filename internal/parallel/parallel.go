@@ -1,7 +1,8 @@
 // Package parallel is the trial-execution engine behind the experiment
-// harness: a bounded worker pool, order-preserving fan-out helpers, and
-// a SeedStream that derives an independent RNG seed per trial from one
-// root seed.
+// harness: order-preserving bounded fan-out over an index range
+// (ForEach, Map), the shard plans that split a trial range across
+// processes, and a SeedStream that derives an independent RNG seed per
+// trial from one root seed.
 //
 // The package exists to uphold one invariant: an experiment's output is
 // bit-identical for any worker count. The contract has two halves:

@@ -101,62 +101,6 @@ func TestWorkersNormalisation(t *testing.T) {
 	}
 }
 
-func TestPoolRunsSubmittedTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var sum atomic.Int64
-	for i := 1; i <= 100; i++ {
-		i := i
-		if err := p.Submit(func() { sum.Add(int64(i)) }); err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-	}
-	p.Wait()
-	if got := sum.Load(); got != 5050 {
-		t.Fatalf("sum = %d, want 5050", got)
-	}
-}
-
-func TestPoolSubmitAfterCloseFails(t *testing.T) {
-	p := NewPool(2)
-	var ran atomic.Int32
-	for i := 0; i < 10; i++ {
-		if err := p.Submit(func() { ran.Add(1) }); err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-	}
-	p.Close()
-	if got := ran.Load(); got != 10 {
-		t.Fatalf("Close did not drain: %d/10 tasks ran", got)
-	}
-	if err := p.Submit(func() {}); err != ErrClosed {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
-	}
-	p.Close() // idempotent
-}
-
-func TestPoolWaitPropagatesPanic(t *testing.T) {
-	p := NewPool(2)
-	_ = p.Submit(func() { panic("task panic") })
-	func() {
-		defer func() {
-			v := recover()
-			pp, ok := v.(*Panic)
-			if !ok || pp.Value != "task panic" {
-				t.Fatalf("Wait panic = %v, want *Panic{task panic}", v)
-			}
-		}()
-		p.Wait()
-	}()
-	// The worker survived the panic and keeps serving tasks.
-	var ran atomic.Int32
-	_ = p.Submit(func() { ran.Add(1) })
-	p.inflight.Wait()
-	if ran.Load() != 1 {
-		t.Fatal("worker dead after task panic")
-	}
-}
-
 func TestSeedStreamDeterministicAndLabelled(t *testing.T) {
 	a := NewSeedStream(42)
 	b := NewSeedStream(42)
