@@ -5,14 +5,9 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/ap"
-	"repro/internal/channel"
 	"repro/internal/parallel"
 	"repro/internal/phy"
-	"repro/internal/rate"
-	"repro/internal/ratesim"
 	"repro/internal/scenario"
-	"repro/internal/sensors"
 	"repro/internal/vehicular"
 )
 
@@ -24,7 +19,8 @@ import (
 // merged report byte-identical to an unsharded run), city-contend
 // couples clients through the medium and therefore runs whole trials,
 // and scn-oracle is the differential suite pinning the event engine to
-// the slot-driven oracles (ratesim, ap, vehicular, RunSlotted).
+// its slot-driven oracle (RunSlotted) and its mobility model to
+// internal/vehicular.
 
 func init() {
 	register("city-grid", "city-scale roaming on the event engine, sharded by client chunk", CityGrid,
@@ -370,25 +366,6 @@ func oracleScenarios(seed int64) []scenario.Scenario {
 	}
 }
 
-// oracleAdapter builds a fresh Chapter 3 adapter by name.
-func oracleAdapter(name string, seed int64) rate.Adapter {
-	switch name {
-	case "HintAware":
-		return rate.NewHintAware(seed)
-	case "RapidSample":
-		return rate.NewRapidSample()
-	case "SampleRate":
-		return rate.NewSampleRate(seed)
-	case "RRAA":
-		return rate.NewRRAA()
-	case "RBAR":
-		return rate.NewRBAR()
-	case "CHARM":
-		return rate.NewCHARM()
-	}
-	panic("unknown adapter " + name)
-}
-
 // oracleCases enumerates the differential suite. The case list is a
 // pure function of nothing — every trial derives its inputs from its
 // own seed — so the suite shards like any other trial range.
@@ -433,77 +410,6 @@ func oracleCases() []oracleCase {
 			return 0
 		},
 	})
-
-	// ReplayLink vs ratesim.Run: the event engine hosts the paper's
-	// exact MAC loop for every Chapter 3 adapter, both workloads, on
-	// mixed-mobility and vehicular traces.
-	for _, proto := range []string{"HintAware", "RapidSample", "SampleRate", "RRAA", "RBAR", "CHARM"} {
-		cases = append(cases, oracleCase{
-			name: "replay-link/" + proto,
-			run: func(seed int64) float64 {
-				traces := []channel.Config{
-					{
-						Env:   channel.Office,
-						Sched: sensors.AlternatingSchedule(8*time.Second, 4*time.Second, sensors.Walk, false),
-						Total: 8 * time.Second,
-						Seed:  seed,
-					},
-					{
-						Env:   channel.Vehicular,
-						Sched: sensors.Schedule{{Start: 0, End: 6 * time.Second, Mode: sensors.Vehicle}},
-						Total: 6 * time.Second,
-						Seed:  seed + 1,
-					},
-				}
-				var diverged float64
-				for _, tc := range traces {
-					tr := channel.Generate(tc)
-					for _, wl := range []ratesim.Workload{ratesim.UDP, ratesim.TCP} {
-						base := ratesim.Config{Trace: tr, Workload: wl, Seed: seed + 2}
-						base.Adapter = oracleAdapter(proto, seed+3)
-						want := ratesim.Run(base)
-						base.Adapter = oracleAdapter(proto, seed+3)
-						if scenario.ReplayLink(base) != want || want.Sent == 0 {
-							diverged++
-						}
-					}
-				}
-				return diverged
-			},
-		})
-	}
-
-	// ReplayTwoClients vs ap.RunTwoClients: every scheduler policy with
-	// and without hint-aware pruning, totals and every series point.
-	for _, pol := range []ap.SchedulerPolicy{ap.FrameFair, ap.TimeFair, ap.MobileFavored} {
-		for _, hint := range []bool{false, true} {
-			label := fmt.Sprintf("replay-ap/%v", pol)
-			if hint {
-				label += "+hint"
-			}
-			cases = append(cases, oracleCase{
-				name: label,
-				run: func(int64) float64 {
-					cfg := ap.TwoClientConfig{Policy: pol}
-					if hint {
-						cfg.Prune = ap.PruneConfig{Timeout: 10 * time.Second, HintAware: true, ProbeEvery: time.Second}
-					}
-					want := ap.RunTwoClients(cfg)
-					got := scenario.ReplayTwoClients(cfg)
-					if got.Total1 != want.Total1 || got.Total2 != want.Total2 || got.PruneAt != want.PruneAt ||
-						len(got.Client1.Points) != len(want.Client1.Points) || want.Total1 == 0 {
-						return 1
-					}
-					for i := range want.Client1.Points {
-						if got.Client1.Points[i] != want.Client1.Points[i] || got.Client2.Points[i] != want.Client2.Points[i] {
-							return 1
-						}
-					}
-					return 0
-				},
-			})
-		}
-	}
 
 	// Contention couples clients, so medium-acquisition order differs
 	// between the engines; the totals must still agree statistically.

@@ -22,16 +22,10 @@
 // clients through the shared per-AP medium, whose acquisition order is
 // engine-dependent, so contended runs are compared statistically
 // instead.
-//
-// ReplayLink and ReplayTwoClients are event-driven ports of
-// ratesim.Run and ap.RunTwoClients that reproduce the originals
-// byte-for-byte — the differential proof that the event core can host
-// the paper's exact MAC loops, not just an approximation of them.
 package scenario
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/phy"
@@ -161,24 +155,6 @@ func (sc Scenario) ClientCount() int {
 		n += h.Clients
 	}
 	return n
-}
-
-// FrameBytes returns the sorted distinct packet sizes the scenario's
-// traffic mixes send — the phy tables a fleet should warm before
-// running it.
-func (sc Scenario) FrameBytes() []int {
-	set := map[int]bool{}
-	for _, h := range sc.Herds {
-		for _, tc := range h.Traffic {
-			set[tc.Bytes] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for b := range set {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Validate reports the first structural problem with the spec, nil if

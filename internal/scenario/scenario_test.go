@@ -3,15 +3,11 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/ap"
-	"repro/internal/channel"
 	"repro/internal/parallel"
-	"repro/internal/rate"
-	"repro/internal/ratesim"
-	"repro/internal/sensors"
 )
 
 // testScenarios is the paper-scale differential suite: small enough to
@@ -251,98 +247,36 @@ func TestRunAllocsIndependentOfDuration(t *testing.T) {
 	}
 }
 
-// TestReplayLinkMatchesRatesim proves the event engine hosts the
-// paper's exact MAC loop: for every Chapter 3 adapter, on office and
-// vehicular traces, under UDP and TCP, ReplayLink's Result equals
-// ratesim.Run's byte for byte.
-func TestReplayLinkMatchesRatesim(t *testing.T) {
-	mk := func(name string, seed int64) rate.Adapter {
-		switch name {
-		case "HintAware":
-			return rate.NewHintAware(seed)
-		case "RapidSample":
-			return rate.NewRapidSample()
-		case "SampleRate":
-			return rate.NewSampleRate(seed)
-		case "RRAA":
-			return rate.NewRRAA()
-		case "RBAR":
-			return rate.NewRBAR()
-		case "CHARM":
-			return rate.NewCHARM()
-		}
-		panic(name)
+// TestValidateRefusals covers every refusal of the spec the public
+// RunScenario receives: each case breaks one rule of a runnable spec,
+// and the error must name the problem.
+func TestValidateRefusals(t *testing.T) {
+	good := testScenarios()[1]
+	if err := good.Validate(); err != nil {
+		t.Fatalf("runnable spec refused: %v", err)
 	}
-	traces := []struct {
-		name string
-		cfg  channel.Config
+	cases := []struct {
+		name   string
+		mutate func(sc *Scenario)
+		want   string
 	}{
-		{"office-mixed", channel.Config{
-			Env:   channel.Office,
-			Sched: sensors.AlternatingSchedule(8*time.Second, 4*time.Second, sensors.Walk, false),
-			Total: 8 * time.Second,
-			Seed:  41,
-		}},
-		{"vehicular", channel.Config{
-			Env:   channel.Vehicular,
-			Sched: sensors.Schedule{{Start: 0, End: 6 * time.Second, Mode: sensors.Vehicle}},
-			Total: 6 * time.Second,
-			Seed:  43,
-		}},
+		{"no grid side", func(sc *Scenario) { sc.Grid.Side = 0 }, "AP grid needs Side ≥ 1 and positive Spacing"},
+		{"no grid spacing", func(sc *Scenario) { sc.Grid.Spacing = 0 }, "AP grid needs Side ≥ 1 and positive Spacing"},
+		{"no herds", func(sc *Scenario) { sc.Herds = nil }, "no herds"},
+		{"herd without clients", func(sc *Scenario) { sc.Herds[1].Clients = 0 }, `herd "kiosks" has no clients`},
+		{"herd without traffic", func(sc *Scenario) { sc.Herds[1].Traffic = nil }, `herd "kiosks" has no traffic classes`},
+		{"class without bytes", func(sc *Scenario) { sc.Herds[0].Traffic[1].Bytes = 0 }, `class "web" needs positive Bytes and Interval`},
+		{"class with negative interval", func(sc *Scenario) { sc.Herds[0].Traffic[0].Interval = -time.Second }, `class "voip" needs positive Bytes and Interval`},
 	}
-	for _, trc := range traces {
-		tr := channel.Generate(trc.cfg)
-		for _, proto := range []string{"HintAware", "RapidSample", "SampleRate", "RRAA", "RBAR", "CHARM"} {
-			for _, wl := range []ratesim.Workload{ratesim.UDP, ratesim.TCP} {
-				base := ratesim.Config{Trace: tr, Workload: wl, Seed: 5}
-				base.Adapter = mk(proto, 17)
-				want := ratesim.Run(base)
-				base.Adapter = mk(proto, 17) // fresh adapter, same state
-				got := ReplayLink(base)
-				if got != want {
-					t.Fatalf("%s/%s/%s: replay diverged\nratesim: %+v\nreplay:  %+v", trc.name, proto, wl, want, got)
-				}
-				if want.Sent == 0 {
-					t.Fatalf("%s/%s/%s: degenerate run", trc.name, proto, wl)
-				}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc := testScenarios()[1]
+			c.mutate(&sc)
+			err := sc.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, c.want)
 			}
-		}
-	}
-}
-
-// TestReplayTwoClientsMatchesAP proves the same for the Chapter 5 AP
-// loop across every policy × prune combination: totals, prune time,
-// and each per-second series point must be identical.
-func TestReplayTwoClientsMatchesAP(t *testing.T) {
-	for _, pol := range []ap.SchedulerPolicy{ap.FrameFair, ap.TimeFair, ap.MobileFavored} {
-		for _, hint := range []bool{false, true} {
-			cfg := ap.TwoClientConfig{Policy: pol}
-			if hint {
-				cfg.Prune = ap.PruneConfig{Timeout: 10 * time.Second, HintAware: true, ProbeEvery: time.Second}
-			}
-			want := ap.RunTwoClients(cfg)
-			got := ReplayTwoClients(cfg)
-			if got.Total1 != want.Total1 || got.Total2 != want.Total2 || got.PruneAt != want.PruneAt {
-				t.Fatalf("%v hint=%v: totals diverged: got (%.6f, %.6f, %v), want (%.6f, %.6f, %v)",
-					pol, hint, got.Total1, got.Total2, got.PruneAt, want.Total1, want.Total2, want.PruneAt)
-			}
-			for i, s := range []struct{ got, want interface{ Len() int } }{
-				{got.Client1, want.Client1},
-				{got.Client2, want.Client2},
-			} {
-				if s.got.Len() != s.want.Len() {
-					t.Fatalf("%v hint=%v: series %d length %d vs %d", pol, hint, i, s.got.Len(), s.want.Len())
-				}
-			}
-			for i := range want.Client1.Points {
-				if got.Client1.Points[i] != want.Client1.Points[i] || got.Client2.Points[i] != want.Client2.Points[i] {
-					t.Fatalf("%v hint=%v: series point %d diverged", pol, hint, i)
-				}
-			}
-			if want.Total1 == 0 {
-				t.Fatalf("%v hint=%v: degenerate run", pol, hint)
-			}
-		}
+		})
 	}
 }
 
