@@ -80,7 +80,7 @@ type LoadConfig struct {
 	// default 0.5.
 	MovingRatio float64
 	// TogglePeriod is how many frames a client sends between movement
-	// flips; 0 disables toggling. Default 64.
+	// flips; 0 disables toggling.
 	TogglePeriod int
 	// TrailerRatio is the probability a data frame carries a TLV hint
 	// trailer; default 0.5. Frames without a trailer still carry the
@@ -120,9 +120,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.MovingRatio == 0 {
 		c.MovingRatio = 0.5
-	}
-	if c.TogglePeriod == 0 {
-		c.TogglePeriod = 64
 	}
 	if c.TrailerRatio == 0 {
 		c.TrailerRatio = 0.5

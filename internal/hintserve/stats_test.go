@@ -152,3 +152,18 @@ func TestRunLoadMatchesEveryAck(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLoadZeroTogglePeriodNeverFlips pins TogglePeriod's zero value:
+// it disables toggling, as documented and as hintload's "-toggle 0"
+// promises, rather than falling back to some default period.
+func TestRunLoadZeroTogglePeriodNeverFlips(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 1})
+	rep, err := RunLoad(LoadConfig{Target: addr, Clients: 10, Packets: 2000, TogglePeriod: 0, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DataSent == 0 || rep.Toggles != 0 {
+		t.Fatalf("TogglePeriod 0 sent %d data frames with %d movement flips, want some frames and no flips: %s",
+			rep.DataSent, rep.Toggles, rep)
+	}
+}
