@@ -23,6 +23,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -32,30 +34,45 @@ import (
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain carries the exit code back to main so deferred profile
-// writers run before the process exits (os.Exit skips defers).
-func realMain() int {
-	scale := flag.Float64("scale", 1.0, "experiment scale (1.0 = paper scale, smaller = faster)")
-	seed := flag.Int64("seed", 42, "random seed for deterministic runs")
-	workers := flag.Int("workers", 0, "worker goroutines per experiment (0 = one per CPU); output is identical for any value")
-	list := flag.Bool("list", false, "list experiments and exit")
-	tag := flag.String("tag", "", "run every experiment carrying this registry tag (see -list)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file` (pprof format)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` on exit (pprof format)")
-	flag.Parse()
+// run parses args and runs the selected experiments; it is main minus
+// os.Exit, so deferred profile writers run before the process exits
+// and the CLI tests can drive it directly.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hintbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 1.0, "experiment scale (1.0 = paper scale, smaller = faster)")
+	seed := fs.Int64("seed", 42, "random seed for deterministic runs")
+	workers := fs.Int("workers", 0, "worker goroutines per experiment (0 = one per CPU); output is identical for any value")
+	list := fs.Bool("list", false, "list experiments and exit")
+	tag := fs.String("tag", "", "run every experiment carrying this registry tag (see -list)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to `file` (pprof format)")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to `file` on exit (pprof format)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	// A non-finite scale would run every experiment at its minimum
+	// sizes (scaleInt clamps the garbage product) and pass its checks,
+	// so it is refused, as hintshard's job specs refuse it.
+	if !(math.Abs(*scale) <= math.MaxFloat64) {
+		fmt.Fprintf(stderr, "invalid scale %g\n", *scale)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -64,13 +81,13 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // flush recent allocation stats before snapshotting
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
@@ -78,29 +95,29 @@ func realMain() int {
 	reg := experiments.Default
 	if *list {
 		for _, e := range reg.All() {
-			fmt.Printf("%-12s %-40s %s\n", e.ID, e.Desc, strings.Join(e.Tags, ","))
+			fmt.Fprintf(stdout, "%-12s %-40s %s\n", e.ID, e.Desc, strings.Join(e.Tags, ","))
 		}
-		fmt.Printf("tags: %s\n", strings.Join(reg.Tags(), " "))
+		fmt.Fprintf(stdout, "tags: %s\n", strings.Join(reg.Tags(), " "))
 		return 0
 	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers}
-	ids := flag.Args()
+	ids := fs.Args()
 	var runners []experiments.Runner
 	switch {
 	case *tag != "":
 		if len(ids) > 0 {
-			fmt.Fprintln(os.Stderr, "-tag and explicit experiment ids are mutually exclusive")
+			fmt.Fprintln(stderr, "-tag and explicit experiment ids are mutually exclusive")
 			return 2
 		}
 		runners = reg.ByTag(*tag)
 		if len(runners) == 0 {
-			fmt.Fprintf(os.Stderr, "no experiments tagged %q (try -list)\n", *tag)
+			fmt.Fprintf(stderr, "no experiments tagged %q (try -list)\n", *tag)
 			return 2
 		}
 	case len(ids) == 0:
-		fmt.Fprintln(os.Stderr, "usage: hintbench [-scale S] [-seed N] all | -tag <tag> | <experiment-id>...")
-		fmt.Fprintln(os.Stderr, "run 'hintbench -list' for experiment ids and tags")
+		fmt.Fprintln(stderr, "usage: hintbench [-scale S] [-seed N] all | -tag <tag> | <experiment-id>...")
+		fmt.Fprintln(stderr, "run 'hintbench -list' for experiment ids and tags")
 		return 2
 	case len(ids) == 1 && ids[0] == "all":
 		runners = reg.All()
@@ -108,7 +125,7 @@ func realMain() int {
 		for _, id := range ids {
 			r, ok := reg.ByID(id)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
+				fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", id)
 				return 2
 			}
 			runners = append(runners, r)
@@ -118,11 +135,11 @@ func realMain() int {
 	failed := 0
 	for _, r := range runners {
 		rep := r.Run(cfg)
-		fmt.Println(rep)
+		fmt.Fprintln(stdout, rep)
 		failed += len(rep.Failed())
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "%d shape check(s) failed\n", failed)
+		fmt.Fprintf(stderr, "%d shape check(s) failed\n", failed)
 		return 1
 	}
 	return 0
