@@ -73,7 +73,7 @@ func TestChaosReportsByteIdentical(t *testing.T) {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
 			t.Parallel()
-			base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+			base := referenceReport(t, exp.ID, 0.1, 42)
 
 			// Faults on both directions, partitions healed by reconnect.
 			// The short heartbeat bounds how long a dropped frame's chain
@@ -161,11 +161,7 @@ func TestChaosCampaignPartitionHealedByReconnect(t *testing.T) {
 	}
 	bases := make([]string, len(jobs))
 	for ji, j := range jobs {
-		exp, ok := experiments.ByID(j.Experiment)
-		if !ok {
-			t.Fatalf("unknown experiment %q", j.Experiment)
-		}
-		bases[ji] = exp.Run(experiments.Config{Scale: j.Scale, Seed: j.Seed, Workers: 1}).String()
+		bases[ji] = referenceReport(t, j.Experiment, j.Scale, j.Seed)
 	}
 
 	// The campaign's conns carry few frames (challenge, prepare, a
@@ -232,8 +228,7 @@ func TestChaosCampaignPartitionHealedByReconnect(t *testing.T) {
 // and finish byte-identically on worker 1, which only dials in after
 // worker 0 dies.
 func TestCorruptFrameDetectedAndSalvaged(t *testing.T) {
-	exp, _ := experiments.ByID("fig3-1")
-	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+	base := referenceReport(t, "fig3-1", 0.1, 42)
 	plan := &FaultPlan{Seed: 1, Corrupt: 1, MaxKills: 1}
 	w0dead := make(chan struct{})
 	w0err := make(chan error, 1)
@@ -278,8 +273,7 @@ func TestCorruptFrameDetectedAndSalvaged(t *testing.T) {
 // intruder reads its rejection, and closing the transport hands it a
 // closed pipe instead.
 func TestUnauthenticatedWorkerRejected(t *testing.T) {
-	exp, _ := experiments.ByID("fig2-2")
-	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+	base := referenceReport(t, "fig2-2", 0.1, 42)
 	intruderErr := make(chan error, 1)
 	intruderGone := make(chan struct{})
 	tr := NewInProcess(2, func(i int, c Conn) {
@@ -321,8 +315,7 @@ func TestUnauthenticatedWorkerRejected(t *testing.T) {
 // exactly this scenario stalled the coordinator until the drain
 // deadline of a run that could never finish.
 func TestWedgedWorkerConvertedToRetry(t *testing.T) {
-	exp, _ := experiments.ByID("fig2-2")
-	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+	base := referenceReport(t, "fig2-2", 0.1, 42)
 	assigned := make(chan struct{})
 	unwedge := make(chan struct{})
 	defer close(unwedge)

@@ -188,8 +188,7 @@ func TestAllWorkersGoneAborts(t *testing.T) {
 // worker joins only once the liar's connection is gone, so no steal
 // can cover the liar's shard first: the requeue is certain.
 func TestProtocolViolatorDroppedRunCompletes(t *testing.T) {
-	exp, _ := experiments.ByID("fig2-2")
-	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+	base := referenceReport(t, "fig2-2", 0.1, 42)
 	dropped := make(chan struct{})
 	tr := NewInProcess(2, func(i int, c Conn) {
 		if i == 0 {
@@ -254,8 +253,7 @@ func TestRunValidatesOptions(t *testing.T) {
 // death order is forced by channels, so the scenario is exact, not
 // probabilistic.
 func TestSpeculativeCopyCoversDyingWorker(t *testing.T) {
-	exp, _ := experiments.ByID("fig2-2")
-	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+	base := referenceReport(t, "fig2-2", 0.1, 42)
 	w0assigned := make(chan struct{})
 	stolen := make(chan struct{})
 	tr := NewInProcess(2, func(i int, c Conn) {
@@ -308,8 +306,7 @@ func TestSpeculativeCopyCoversDyingWorker(t *testing.T) {
 // returns as soon as B answers, well before the one-minute drain
 // cut-off.
 func TestStragglerStolenLoserDiscarded(t *testing.T) {
-	exp, _ := experiments.ByID("fig2-2")
-	base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+	base := referenceReport(t, "fig2-2", 0.1, 42)
 	bHolds := make(chan struct{})
 	delivered := make(chan struct{})
 	tr := NewInProcess(2, func(i int, c Conn) {

@@ -141,8 +141,7 @@ func TestControlSubmitCancelLifecycle(t *testing.T) {
 		} else {
 			j = Job{Experiment: "fig3-1", Scale: 0.1, Seed: 42, Shards: 2}
 		}
-		exp, _ := experiments.ByID(j.Experiment)
-		want := exp.Run(experiments.Config{Scale: j.Scale, Seed: j.Seed, Workers: 1}).String()
+		want := referenceReport(t, j.Experiment, j.Scale, j.Seed)
 		if e.rep != want {
 			t.Errorf("job %d report differs from standalone run", e.ji)
 		}

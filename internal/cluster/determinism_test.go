@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/experiments"
@@ -40,7 +41,7 @@ func TestReportsIdenticalAcrossTransportsAndWorkers(t *testing.T) {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
 			t.Parallel()
-			base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+			base := referenceReport(t, exp.ID, 0.1, 42)
 			for _, workers := range counts {
 				// More shards than workers: the queue is always deep
 				// enough that work-stealing and dynamic assignment have
@@ -74,7 +75,7 @@ func TestReportsIdenticalWithWorkerKilledMidShard(t *testing.T) {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
 			t.Parallel()
-			base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+			base := referenceReport(t, exp.ID, 0.1, 42)
 			for _, transport := range transports {
 				rep, stats := clusterRun(t, transport, exp.ID, 2, 5, true)
 				if got := rep.String(); got != base {
@@ -90,4 +91,38 @@ func TestReportsIdenticalWithWorkerKilledMidShard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refKey names one reference report.
+type refKey struct {
+	id    string
+	scale float64
+	seed  int64
+}
+
+// refReport is one memoized reference report.
+type refReport struct {
+	once sync.Once
+	text string
+}
+
+// references holds each reference report computed so far, keyed by
+// refKey.
+var references sync.Map
+
+// referenceReport returns experiment id's single-process report at
+// Workers: 1 for (scale, seed), the reference every fleet run in this
+// package is compared with. It is computed once per (id, scale, seed)
+// for the whole package rather than once per test; a run under test is
+// never memoized.
+func referenceReport(t testing.TB, id string, scale float64, seed int64) string {
+	t.Helper()
+	exp, ok := experiments.ByID(id)
+	if !ok {
+		t.Fatalf("unknown experiment %q", id)
+	}
+	v, _ := references.LoadOrStore(refKey{id, scale, seed}, new(refReport))
+	r := v.(*refReport)
+	r.once.Do(func() { r.text = exp.Run(experiments.Config{Scale: scale, Seed: seed, Workers: 1}).String() })
+	return r.text
 }

@@ -313,7 +313,7 @@ func TestLedgerLostRerunRequeuedFront(t *testing.T) {
 		c.complete(b, rb)
 		c.complete(b, c.assignment(b))
 		c.merge()
-		if c.s.err != nil || c.s.stats.Verified != 2 || c.s.results[0].Report.String() != fig22Report() {
+		if c.s.err != nil || c.s.stats.Verified != 2 || c.s.results[0].Report.String() != referenceReport(t, "fig2-2", 0.1, 42) {
 			t.Fatalf("retries 2: err %v, verified %d; want the report with both shards verified", c.s.err, c.s.stats.Verified)
 		}
 	}

@@ -148,11 +148,6 @@ func (c *script) advance(d time.Duration) {
 
 var fig22 = Job{Experiment: "fig2-2", Seed: 42, Scale: 0.1}
 
-func fig22Report() string {
-	exp, _ := experiments.ByID("fig2-2")
-	return exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
-}
-
 // TestHungStragglerCutOffAfterDrainTimeout: a worker that hangs forever
 // (still answering pings) on a shard another worker already completed
 // must not block the run — the drain deadline cuts it off and the run
@@ -160,7 +155,7 @@ func fig22Report() string {
 // 1, so the hung holder of shard 0 crosses the straggler threshold and
 // is stolen from.
 func TestHungStragglerCutOffAfterDrainTimeout(t *testing.T) {
-	base := fig22Report()
+	base := referenceReport(t, "fig2-2", 0.1, 42)
 	job := fig22
 	job.Shards = 2
 	c := newScript(t, Options{Retries: 0}, job)
@@ -202,7 +197,7 @@ func TestHungStragglerCutOffAfterDrainTimeout(t *testing.T) {
 // analogue of stealing) and the hung straggler is cut off at the drain
 // deadline.
 func TestHungVerifierSpeculativelyCovered(t *testing.T) {
-	base := fig22Report()
+	base := referenceReport(t, "fig2-2", 0.1, 42)
 	job := fig22
 	job.Shards = 1
 	c := newScript(t, Options{ShardWorkers: 1, Retries: 0, Verify: 1}, job)

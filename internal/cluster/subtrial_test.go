@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"testing"
-
-	"repro/internal/experiments"
-)
+import "testing"
 
 // subTrialExperiments are the heavy runners that used to pin a whole
 // trial (or the whole experiment) to one worker. fig3's trial spaces
@@ -29,11 +25,7 @@ func TestSubTrialExperimentsSpreadAcrossFleet(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			exp, ok := experiments.ByID(id)
-			if !ok {
-				t.Fatalf("unknown experiment %q", id)
-			}
-			base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+			base := referenceReport(t, id, 0.1, 42)
 			rep, stats := clusterRun(t, "inproc", id, 4, 4, false)
 			if got := rep.String(); got != base {
 				t.Errorf("report differs from single-process run on a 4-worker fleet:\n--- single ---\n%s\n--- cluster ---\n%s", base, got)
@@ -64,11 +56,7 @@ func TestSubTrialReportsIdenticalWithWorkerKilledMidSubTrial(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			exp, ok := experiments.ByID(id)
-			if !ok {
-				t.Fatalf("unknown experiment %q", id)
-			}
-			base := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String()
+			base := referenceReport(t, id, 0.1, 42)
 			for _, transport := range transports {
 				rep, stats := clusterRun(t, transport, id, 4, 4, true)
 				if got := rep.String(); got != base {

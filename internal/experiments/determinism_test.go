@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/parallel"
@@ -41,7 +42,7 @@ func TestReportsIdenticalAcrossWorkerCounts(t *testing.T) {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
 			t.Parallel()
-			base := exp.Run(Config{Scale: scale, Seed: 42, Workers: 1}).String()
+			base := referenceReport(exp, scale, 42)
 			for _, w := range counts {
 				got := exp.Run(Config{Scale: scale, Seed: 42, Workers: w}).String()
 				if got != base {
@@ -136,4 +137,33 @@ func TestReportsDifferBySeed(t *testing.T) {
 	if a == b {
 		t.Fatal("reports for different seeds are identical")
 	}
+}
+
+// refKey names one reference report.
+type refKey struct {
+	id    string
+	scale float64
+	seed  int64
+}
+
+// refReport is one memoized reference report.
+type refReport struct {
+	once sync.Once
+	text string
+}
+
+// references holds each reference report computed so far, keyed by
+// refKey.
+var references sync.Map
+
+// referenceReport returns exp's single-process report at Workers: 1 for
+// (scale, seed), the reference the other execution modes in this
+// package are compared with. It is computed once per (id, scale, seed)
+// for the whole package rather than once per test; a run under test is
+// never memoized.
+func referenceReport(exp Runner, scale float64, seed int64) string {
+	v, _ := references.LoadOrStore(refKey{exp.ID, scale, seed}, new(refReport))
+	r := v.(*refReport)
+	r.once.Do(func() { r.text = exp.Run(Config{Scale: scale, Seed: seed, Workers: 1}).String() })
+	return r.text
 }

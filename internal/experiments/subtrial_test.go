@@ -83,7 +83,7 @@ func TestSubTrialShardsSpread(t *testing.T) {
 				t.Fatalf("unknown experiment %q", id)
 			}
 			cfg := Config{Scale: 0.1, Seed: 42}
-			want := exp.Run(Config{Scale: cfg.Scale, Seed: cfg.Seed, Workers: 1}).String()
+			want := referenceReport(exp, cfg.Scale, cfg.Seed)
 
 			var parts []*Partial
 			busy := 0
