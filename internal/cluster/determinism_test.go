@@ -100,14 +100,8 @@ type refKey struct {
 	seed  int64
 }
 
-// refReport is one memoized reference report.
-type refReport struct {
-	once sync.Once
-	text string
-}
-
-// references holds each reference report computed so far, keyed by
-// refKey.
+// references maps each refKey asked for so far to a sync.OnceValue
+// that computes its report.
 var references sync.Map
 
 // referenceReport returns experiment id's single-process report at
@@ -121,8 +115,8 @@ func referenceReport(t testing.TB, id string, scale float64, seed int64) string 
 	if !ok {
 		t.Fatalf("unknown experiment %q", id)
 	}
-	v, _ := references.LoadOrStore(refKey{id, scale, seed}, new(refReport))
-	r := v.(*refReport)
-	r.once.Do(func() { r.text = exp.Run(experiments.Config{Scale: scale, Seed: seed, Workers: 1}).String() })
-	return r.text
+	report, _ := references.LoadOrStore(refKey{id, scale, seed}, sync.OnceValue(func() string {
+		return exp.Run(experiments.Config{Scale: scale, Seed: seed, Workers: 1}).String()
+	}))
+	return report.(func() string)()
 }

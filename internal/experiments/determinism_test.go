@@ -146,14 +146,8 @@ type refKey struct {
 	seed  int64
 }
 
-// refReport is one memoized reference report.
-type refReport struct {
-	once sync.Once
-	text string
-}
-
-// references holds each reference report computed so far, keyed by
-// refKey.
+// references maps each refKey asked for so far to a sync.OnceValue
+// that computes its report.
 var references sync.Map
 
 // referenceReport returns exp's single-process report at Workers: 1 for
@@ -162,8 +156,8 @@ var references sync.Map
 // for the whole package rather than once per test; a run under test is
 // never memoized.
 func referenceReport(exp Runner, scale float64, seed int64) string {
-	v, _ := references.LoadOrStore(refKey{exp.ID, scale, seed}, new(refReport))
-	r := v.(*refReport)
-	r.once.Do(func() { r.text = exp.Run(Config{Scale: scale, Seed: seed, Workers: 1}).String() })
-	return r.text
+	report, _ := references.LoadOrStore(refKey{exp.ID, scale, seed}, sync.OnceValue(func() string {
+		return exp.Run(Config{Scale: scale, Seed: seed, Workers: 1}).String()
+	}))
+	return report.(func() string)()
 }
