@@ -286,11 +286,12 @@ subtrial-smoke:
 
 # Scenario-engine smoke: the scn-oracle experiment is the differential
 # gate — its shape checks require the event engine to match the
-# slot-driven oracles byte-for-byte (Metrics, the MAC replay ports, the
-# chunk-union property) and statistically where engines interleave —
-# and a city-grid run fanned over a real 3-worker fleet must be
-# bit-identical to the single-process report, proving one city trial
-# shards across workers by client chunk.
+# slot-driven oracle byte-for-byte (Metrics, the chunk-union property)
+# and statistically where engines interleave, and the scenario mobility
+# model to match internal/vehicular's — and a 3-shard city-grid run on
+# hintshard's in-process fleet must be bit-identical to the
+# single-process report, proving one city trial shards across workers
+# by client chunk.
 scenario-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard || exit 1; \

@@ -1,7 +1,9 @@
 // Package sim provides a small deterministic discrete-event simulation
-// engine: a virtual clock and a priority event queue. The MAC-level rate
-// adaptation harness, the access-point simulator, the vehicular network
-// simulator, and the city-scale scenario engine all run on top of it.
+// engine: a virtual clock and a priority event queue. The city-scale
+// scenario engine (internal/scenario) and the fleet scheduler's
+// simulation test run on top of it; the paper-scale runners
+// (internal/ratesim, internal/ap, internal/vehicular) are slot-driven
+// loops of their own.
 //
 // Two queue backends share the one Engine API:
 //
@@ -20,8 +22,7 @@
 // Reschedule returns the handle to use from then on. An event that has
 // fired (or was cancelled and has left the queue) is re-armed in place
 // and comes back as the same handle, so a callback that re-arms its own
-// event — a per-client packet timer, a MAC continuation — schedules
-// without allocating.
+// event — a per-client packet timer — schedules without allocating.
 package sim
 
 import (
