@@ -64,7 +64,7 @@ shard-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard && \
 	$(GO) build -o "$$tmp/hintbench" ./cmd/hintbench && \
-	"$$tmp/hintshard" -run fig3-1 -shards 3 -scale 0.2 -seed 42 > "$$tmp/sharded.out" && \
+	"$$tmp/hintshard" -shards 3 -scale 0.2 -seed 42 fig3-1 > "$$tmp/sharded.out" && \
 	"$$tmp/hintbench" -scale 0.2 -seed 42 fig3-1 > "$$tmp/single.out" && \
 	diff "$$tmp/single.out" "$$tmp/sharded.out" && \
 	echo "shard-smoke: 3-shard report is bit-identical to the single-process run"
@@ -84,8 +84,8 @@ cluster-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard || exit 1; \
 	$(GO) build -o "$$tmp/hintbench" ./cmd/hintbench || exit 1; \
-	( timeout 240 "$$tmp/hintshard" -run fig3-1 -shards 6 -listen 127.0.0.1:0 \
-		-addr-file "$$tmp/addr" -scale 0.2 -seed 42 > "$$tmp/cluster.out" 2> "$$tmp/coord.err" ) & \
+	( timeout 240 "$$tmp/hintshard" -shards 6 -listen 127.0.0.1:0 \
+		-addr-file "$$tmp/addr" -scale 0.2 -seed 42 fig3-1 > "$$tmp/cluster.out" 2> "$$tmp/coord.err" ) & \
 	coord=$$!; \
 	for i in $$(seq 100); do \
 		[ -s "$$tmp/addr" ] && break; \
@@ -117,7 +117,7 @@ campaign-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard || exit 1; \
 	$(GO) build -o "$$tmp/hintbench" ./cmd/hintbench || exit 1; \
-	( timeout 240 "$$tmp/hintshard" -campaign -shards 5 -scale 0.2 -seed 42 \
+	( timeout 240 "$$tmp/hintshard" -shards 5 -scale 0.2 -seed 42 \
 		-listen 127.0.0.1:0 -addr-file "$$tmp/addr" -verify 0.4 -report-dir "$$tmp/reports" \
 		fig2-2 fig3-1 fig5-1:seed=7 > "$$tmp/campaign.out" 2> "$$tmp/coord.err" ) & \
 	coord=$$!; \
@@ -157,7 +157,7 @@ chaos-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard || exit 1; \
 	$(GO) build -o "$$tmp/hintbench" ./cmd/hintbench || exit 1; \
-	( timeout 240 "$$tmp/hintshard" -campaign -shards 5 -scale 0.2 -seed 42 \
+	( timeout 240 "$$tmp/hintshard" -shards 5 -scale 0.2 -seed 42 \
 		-listen 127.0.0.1:0 -addr-file "$$tmp/addr" -report-dir "$$tmp/reports" \
 		-retries 12 -heartbeat 100ms -heartbeat-misses 20 \
 		-chaos-seed 7 -chaos-plan "drop=0.05,dup=0.05,delay=0.2:2ms,partition=8,conns=6,kills=6" \
@@ -204,7 +204,7 @@ status-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard || exit 1; \
 	$(GO) build -o "$$tmp/hintbench" ./cmd/hintbench || exit 1; \
-	( timeout 240 "$$tmp/hintshard" -campaign -shards 3 -scale 0.2 -seed 42 \
+	( timeout 240 "$$tmp/hintshard" -shards 3 -scale 0.2 -seed 42 \
 		-listen 127.0.0.1:0 -addr-file "$$tmp/addr" -token s3cr3t \
 		-status-addr 127.0.0.1:0 -status-addr-file "$$tmp/saddr" \
 		-report-dir "$$tmp/reports" \
@@ -263,8 +263,8 @@ subtrial-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard || exit 1; \
 	$(GO) build -o "$$tmp/hintbench" ./cmd/hintbench || exit 1; \
-	( timeout 240 "$$tmp/hintshard" -run fig3-7 -shards 4 -listen 127.0.0.1:0 \
-		-addr-file "$$tmp/addr" -scale 0.2 -seed 42 > "$$tmp/fleet.out" 2> "$$tmp/coord.err" ) & \
+	( timeout 240 "$$tmp/hintshard" -shards 4 -listen 127.0.0.1:0 \
+		-addr-file "$$tmp/addr" -scale 0.2 -seed 42 fig3-7 > "$$tmp/fleet.out" 2> "$$tmp/coord.err" ) & \
 	coord=$$!; \
 	for i in $$(seq 100); do \
 		[ -s "$$tmp/addr" ] && break; \
@@ -298,7 +298,7 @@ scenario-smoke:
 	$(GO) build -o "$$tmp/hintbench" ./cmd/hintbench || exit 1; \
 	"$$tmp/hintbench" -scale 0.2 -seed 42 scn-oracle > "$$tmp/oracle.out" || \
 		{ echo "scenario-smoke: oracle differentials failed"; cat "$$tmp/oracle.out"; exit 1; }; \
-	"$$tmp/hintshard" -run city-grid -shards 3 -scale 0.2 -seed 42 > "$$tmp/sharded.out" || exit 1; \
+	"$$tmp/hintshard" -shards 3 -scale 0.2 -seed 42 city-grid > "$$tmp/sharded.out" || exit 1; \
 	"$$tmp/hintbench" -scale 0.2 -seed 42 city-grid > "$$tmp/single.out" || exit 1; \
 	diff "$$tmp/single.out" "$$tmp/sharded.out" || exit 1; \
 	echo "scenario-smoke: oracle differentials passed; 3-shard city run bit-identical to the single process"

@@ -32,10 +32,10 @@ func main() {
 	packets := flag.Int64("packets", 100000, "total data frames to send")
 	senders := flag.Int("senders", 0, "sender goroutines (0 = default)")
 	window := flag.Int("window", 64, "per-sender in-flight window")
-	moving := flag.Float64("moving", 0.5, "fraction of clients initially moving")
+	moving := flag.Float64("moving", 0.5, "fraction of clients initially moving (0 = none)")
 	toggle := flag.Int("toggle", 64, "frames between movement flips per client (0 = never)")
-	trailer := flag.Float64("trailer", 0.5, "fraction of data frames carrying a TLV hint trailer")
-	hintFrames := flag.Float64("hint-frames", 0.05, "standalone hint frames per data frame")
+	trailer := flag.Float64("trailer", 0.5, "fraction of data frames carrying a TLV hint trailer (0 = none)")
+	hintFrames := flag.Float64("hint-frames", 0.05, "standalone hint frames per data frame (0 = none)")
 	corrupt := flag.Float64("corrupt", 0, "fraction of data frames sent with a broken FCS")
 	payload := flag.Int("payload", 64, "data frame payload bytes")
 	seed := flag.Int64("seed", 1, "traffic randomness seed")

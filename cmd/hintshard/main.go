@@ -1,41 +1,39 @@
-// Command hintshard runs one experiment — or a whole campaign of them —
-// sharded across workers and merges the partial results into reports
-// that are bit-identical to the single-process hintbench output — for
+// Command hintshard runs a campaign of experiments, one job or many,
+// sharded across workers, and merges each job's shards into a report
+// that is bit-identical to the single-process hintbench output — for
 // any shard count, worker count, fleet, assignment order, or worker
 // failure. It is a thin front end over the work-stealing cluster
-// runtime in internal/cluster; the job spec format lives in
-// internal/campaign.
+// runtime in internal/cluster, which also owns the job spec format.
 //
 // Modes (exactly one per invocation):
 //
-//	fleet run: split each job's trial space into K shards (a queue,
-//	not a static assignment), hand shards to workers as they free up,
-//	steal from stragglers, re-dispatch shards lost to dead workers,
-//	merge. "-run <id> -shards K" runs one experiment; it is shorthand
-//	for the one-job campaign "-campaign -shards K <id>". A campaign
-//	queues several jobs through one warm fleet: jobs are specs
-//	("id[:scale=S][:seed=N][:shards=K]", defaults from the flags) or
-//	"@file" job files (one spec per line, #-comments). Workers stay
-//	connected across assignments with their phy tables pre-built (the
-//	prepare step), shards of consecutive jobs interleave so stragglers
-//	overlap the next job's start, and each report prints in submission
-//	order the moment its last shard merges — byte-identical to the
-//	standalone hintbench output. -verify F re-executes a deterministic
-//	sample of shards (fraction F of each job, at least one) on a
-//	second worker and byte-compares the partials: any divergence is a
-//	hard fault. -report-dir also writes each report to jobN-<id>.out
-//	for scripted diffing. Every job given at start runs, however many;
-//	they count toward cluster.MaxOpenJobs (256) jobs waiting for their
-//	reports, and a POST /jobs while that many wait is answered 429.
-//	Without -listen the fleet is goroutine workers in this process, one
-//	per shard of the widest job but at most one per CPU; with -listen
-//	it is every worker process that connects over TCP (-connect), from
-//	this machine or any other.
+//	fleet run: the arguments are jobs, each a spec
+//	("id[:scale=S][:seed=N][:shards=K]", defaults from -scale, -seed
+//	and -shards) or an "@file" job file (one spec per line,
+//	#-comments). Each job's trial space splits into K shards (a queue,
+//	not a static assignment); workers take shards as they free up,
+//	steal from stragglers, and re-run shards lost to dead workers. The
+//	jobs queue through one warm fleet: workers stay connected across
+//	assignments with their phy tables pre-built (the prepare step),
+//	shards of consecutive jobs interleave so stragglers overlap the
+//	next job's start, and each report prints in submission order the
+//	moment its last shard merges — byte-identical to the standalone
+//	hintbench output. -verify F re-executes a deterministic sample of
+//	shards (fraction F of each job, at least one) on a second worker
+//	and byte-compares the results: any divergence is a hard fault.
+//	-report-dir also writes each report to jobN-<id>.out for scripted
+//	diffing. Every job given at start runs, however many; they count
+//	toward cluster.MaxOpenJobs (256) jobs waiting for their reports,
+//	and a POST /jobs while that many wait is answered 429. Without
+//	-listen the fleet is goroutine workers in this process, one per
+//	shard of the widest job but at most one per CPU; with -listen it is
+//	every worker process that connects over TCP (-connect), from this
+//	machine or any other.
 //
-//	    hintshard -run fig3-5 -shards 8 [-scale S] [-seed N]
-//	    hintshard -run fig3-5 -shards 8 -listen :7432 [-addr-file F]
-//	    hintshard -campaign -shards 6 [-scale S] [-seed N] fig2-2 fig3-1:scale=0.5
-//	    hintshard -campaign -listen :7432 [-verify 0.2] @jobs.txt
+//	    hintshard -shards 8 [-scale S] [-seed N] fig3-5
+//	    hintshard -shards 8 -listen :7432 [-addr-file F] fig3-5
+//	    hintshard -shards 6 [-scale S] [-seed N] fig2-2 fig3-1:scale=0.5
+//	    hintshard -listen :7432 [-verify 0.2] @jobs.txt
 //
 //	A fleet run also serves a live HTTP control plane with
 //	-status-addr (resolved address published via -status-addr-file):
@@ -74,7 +72,6 @@ import (
 	"time"
 
 	"repro/internal/atomicfile"
-	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/ctlplane"
 	"repro/internal/experiments"
@@ -87,7 +84,6 @@ func main() {
 // options carries the parsed flag set; methods on it implement the
 // modes.
 type options struct {
-	run       string
 	scale     float64
 	seed      int64
 	workers   int
@@ -99,7 +95,6 @@ type options struct {
 	retries   int
 	verbose   bool
 	dieAfter  int
-	camp      bool
 	verify    float64
 	reportDir string
 	statAddr  string
@@ -127,11 +122,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hintshard", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	o := &options{stdout: stdout, stderr: stderr}
-	fs.StringVar(&o.run, "run", "", "coordinator: the one experiment `id` of a -shards run (see 'hintshard -list')")
 	fs.Float64Var(&o.scale, "scale", 1.0, "experiment scale (1.0 = paper scale, smaller = faster)")
 	fs.Int64Var(&o.seed, "seed", 42, "random seed for deterministic runs")
 	fs.IntVar(&o.workers, "workers", 0, "goroutines per worker for one shard's trials (0 = one per CPU, split across the in-process fleet)")
-	fs.IntVar(&o.shards, "shards", 0, "coordinator: split the trial space into `K` queued shards")
+	fs.IntVar(&o.shards, "shards", 0, "coordinator: split each job's trial space into `K` queued shards, unless its spec sets shards=")
 	fs.StringVar(&o.listen, "listen", "", "coordinator: accept TCP workers on `addr` (e.g. :7432, 127.0.0.1:0) instead of running an in-process fleet")
 	fs.StringVar(&o.addrFile, "addr-file", "", "coordinator: write the resolved -listen address to `file` (for scripts using port 0)")
 	fs.StringVar(&o.connect, "connect", "", "worker: pull shards from the coordinator at `addr` until stopped")
@@ -139,7 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.retries, "retries", 3, "coordinator: per-shard failure budget before aborting")
 	fs.BoolVar(&o.verbose, "v", false, "log dispatches, steals, and worker deaths to stderr")
 	fs.IntVar(&o.dieAfter, "die-after-assign", 0, "worker fault injection: exit abruptly on receiving the `n`-th assignment")
-	fs.BoolVar(&o.camp, "campaign", false, fmt.Sprintf("run a campaign: queue the job specs (or @file) given as arguments through one fleet (every spec runs; POST /jobs is refused while %d jobs wait for their reports)", cluster.MaxOpenJobs))
 	fs.Float64Var(&o.verify, "verify", 0, "coordinator: re-execute this `fraction` of each job's shards on a second worker and byte-compare (0 = off)")
 	fs.StringVar(&o.reportDir, "report-dir", "", "coordinator: also write each report to `dir`/jobN-<id>.out for scripted diffing")
 	fs.StringVar(&o.statAddr, "status-addr", "", "coordinator: serve the HTTP control plane (/status, /metrics, POST /jobs) on `addr` (e.g. 127.0.0.1:0)")
@@ -175,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	mode, err := o.mode(explicit)
+	mode, err := o.mode(explicit, fs.NArg())
 	if err != nil {
 		fmt.Fprintln(o.stderr, err)
 		usage(o.stderr)
@@ -194,22 +187,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: hintshard -run <id> -shards K [-listen addr]              (fleet run, one job)")
-	fmt.Fprintln(w, "       hintshard -campaign [-shards K] <job-spec|@file>...        (fleet run, campaign)")
+	fmt.Fprintln(w, "usage: hintshard [-shards K] [-listen addr] [flags] <job-spec|@file>...  (fleet run)")
 	fmt.Fprintln(w, "       hintshard -connect addr                                    (TCP worker)")
 	fmt.Fprintln(w, "       hintshard -status addr [-submit spec | -cancel N | -metrics]  (control-plane client)")
 	fmt.Fprintln(w, "job specs are id[:scale=S][:seed=N][:shards=K]; run 'hintshard -list' for ids")
 }
 
-// mode validates flag combinations and names the selected mode.
-// Contradictory selectors are rejected rather than silently prioritized,
-// and coordinator-only tuning flags are rejected in the worker and
-// client modes (explicit holds the flags actually set on the command
-// line): a run that quietly ignored half its flags would do something
-// the operator did not ask for.
-func (o *options) mode(explicit map[string]bool) (string, error) {
+// mode validates flag combinations and names the selected mode; specs
+// counts the job-spec arguments. Contradictory selectors are rejected
+// rather than silently prioritized, and coordinator-only flags are
+// rejected in the worker and client modes (explicit holds the flags
+// actually set on the command line): a run that quietly ignored half
+// its flags would do something the operator did not ask for.
+func (o *options) mode(explicit map[string]bool, specs int) (string, error) {
 	rejectCoordFlags := func(mode string) error {
-		for _, f := range []string{"addr-file", "retries", "heartbeat", "heartbeat-misses", "status-addr", "status-addr-file", "verify", "report-dir"} {
+		for _, f := range []string{"shards", "listen", "addr-file", "retries", "heartbeat", "heartbeat-misses", "status-addr", "status-addr-file", "verify", "report-dir"} {
 			if explicit[f] {
 				return fmt.Errorf("-%s is a coordinator flag; it does not apply to %s", f, mode)
 			}
@@ -242,13 +234,8 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 		return "", fmt.Errorf("-status-addr-file publishes a -status-addr address; it needs -status-addr")
 	}
 	var modes []string
-	if o.shards > 0 && !o.camp {
-		// With -campaign, -shards is the default shard count per job,
-		// not a mode selector.
-		modes = append(modes, "-shards")
-	}
-	if o.camp {
-		modes = append(modes, "-campaign")
+	if specs > 0 {
+		modes = append(modes, "job specs")
 	}
 	if o.connect != "" {
 		modes = append(modes, "-connect")
@@ -257,27 +244,21 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 		modes = append(modes, "-status")
 	}
 	if len(modes) == 0 {
-		if o.listen != "" {
-			return "", fmt.Errorf("-listen needs -shards K (or -campaign)")
+		if explicit["shards"] || explicit["listen"] {
+			return "", fmt.Errorf("no job specs given (want id[:scale=S][:seed=N][:shards=K] or @file arguments)")
 		}
 		return "", fmt.Errorf("no mode selected")
 	}
 	if len(modes) > 1 {
-		return "", fmt.Errorf("flags %v select contradictory modes; pick one", modes)
+		return "", fmt.Errorf("%s select contradictory modes; pick one", strings.Join(modes, " and "))
 	}
 	switch modes[0] {
 	case "-connect":
-		if o.run != "" || o.shards > 0 || o.listen != "" {
-			return "", fmt.Errorf("-connect workers take their assignments from the coordinator (remove -run/-shards/-listen)")
-		}
 		if err := rejectCoordFlags("a -connect worker"); err != nil {
 			return "", err
 		}
 		return "connect", nil
 	case "-status":
-		if o.run != "" || o.listen != "" {
-			return "", fmt.Errorf("-status is a read/mutate client for a running coordinator (remove -run/-listen)")
-		}
 		if err := rejectCoordFlags("the -status client"); err != nil {
 			return "", err
 		}
@@ -302,13 +283,7 @@ func (o *options) mode(explicit map[string]bool) (string, error) {
 			return "", fmt.Errorf("-cancel %d is not a job index", o.cancel)
 		}
 		return "status", nil
-	default: // -shards or -campaign: a fleet run
-		if o.camp && o.run != "" {
-			return "", fmt.Errorf("campaign jobs are given as job specs, not -run")
-		}
-		if !o.camp && o.run == "" {
-			return "", fmt.Errorf("coordinator needs -run <experiment-id>")
-		}
+	default: // job specs: a fleet run
 		if o.dieAfter > 0 {
 			return "", fmt.Errorf("-die-after-assign is a worker flag; give it to a -connect worker")
 		}
@@ -419,25 +394,11 @@ func (o *options) withChaos(t cluster.Transport) cluster.Transport {
 	return cluster.WithChaos(t, o.plan)
 }
 
-// runFleet parses the job specs (-run's one spec, or the -campaign
-// arguments and @file job files), runs them over the selected
-// transport, and prints each report in submission order as it becomes
-// ready — exactly as hintbench would print the same experiment, so the
-// outputs diff byte for byte.
+// runFleet parses the job specs and @file job files, runs them over the
+// selected transport, and prints each report in submission order as it
+// becomes ready — exactly as hintbench would print the same experiment,
+// so the outputs diff byte for byte.
 func (o *options) runFleet(specs []string) int {
-	if !o.camp {
-		if len(specs) > 0 {
-			fmt.Fprintf(o.stderr, "-run takes one experiment, not %q; queue several with -campaign\n", specs)
-			usage(o.stderr)
-			return 2
-		}
-		specs = []string{o.run}
-	}
-	if len(specs) == 0 {
-		fmt.Fprintln(o.stderr, "no campaign jobs given (want job specs or @file arguments)")
-		usage(o.stderr)
-		return 2
-	}
 	def := cluster.Job{Scale: o.scale, Seed: o.seed, Shards: o.shards}
 	var jobs []cluster.Job
 	for _, spec := range specs {
@@ -447,7 +408,7 @@ func (o *options) runFleet(specs []string) int {
 				fmt.Fprintln(o.stderr, err)
 				return 2
 			}
-			js, err := campaign.ReadJobs(f, def)
+			js, err := cluster.ReadJobs(f, def)
 			f.Close()
 			if err != nil {
 				fmt.Fprintf(o.stderr, "%s: %v\n", name, err)
@@ -456,7 +417,7 @@ func (o *options) runFleet(specs []string) int {
 			jobs = append(jobs, js...)
 			continue
 		}
-		j, err := campaign.ParseJob(spec, def)
+		j, err := cluster.ParseJob(spec, def)
 		if err != nil {
 			fmt.Fprintln(o.stderr, err)
 			return 2
@@ -496,7 +457,7 @@ func (o *options) runFleet(specs []string) int {
 			Service: "hintshard",
 			Control: control,
 			Submit: func(spec string) (int, error) {
-				j, err := campaign.ParseJob(spec, def)
+				j, err := cluster.ParseJob(spec, def)
 				if err != nil {
 					return 0, err
 				}
@@ -524,7 +485,6 @@ func (o *options) runFleet(specs []string) int {
 	_, stats, err := cluster.Run(o.withChaos(t), jobs, cluster.Options{
 		Control:           control,
 		ShardWorkers:      perWorker,
-		MergeWorkers:      o.workers,
 		Retries:           o.retries,
 		Verify:            o.verify,
 		Token:             o.token,

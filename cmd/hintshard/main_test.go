@@ -20,8 +20,9 @@ import (
 // needs. Rows naming -merge, -shard, -o or -no-warm pin that the
 // invocations of the deleted one-shot modes are now usage errors, rows
 // naming -serve-stdio, -transport or -worker-die-after do the same for
-// the deleted subprocess fleet, and rows naming -procs for the deleted
-// fleet-size flag.
+// the deleted subprocess fleet, rows naming -procs for the deleted
+// fleet-size flag, and rows naming -run or -campaign for the deleted
+// one-job and campaign selectors: job specs are the only fleet form.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,47 +30,50 @@ func TestFlagValidation(t *testing.T) {
 		want string // stderr substring
 	}{
 		{"no mode", []string{}, "no mode selected"},
-		{"merge and shard", []string{"-merge", "-shard", "0/2", "-run", "fig2-2"}, "flag provided but not defined: -merge"},
+		{"merge and shard", []string{"-merge", "-shard", "0/2", "fig2-2"}, "flag provided but not defined: -merge"},
 		{"merge and shards", []string{"-merge", "-shards", "3"}, "flag provided but not defined: -merge"},
-		{"connect and shards", []string{"-connect", "h:1", "-shards", "2"}, "contradictory modes"},
+		{"connect and shards", []string{"-connect", "h:1", "-shards", "2", "fig2-2"}, "contradictory modes"},
 		{"connect and serve-stdio", []string{"-connect", "h:1", "-serve-stdio"}, "flag provided but not defined: -serve-stdio"},
-		{"shard and shards", []string{"-run", "x", "-shard", "0/2", "-shards", "2"}, "flag provided but not defined: -shard"},
-		{"listen without shards", []string{"-run", "fig2-2", "-listen", ":0"}, "-listen needs -shards"},
-		{"coordinator without run", []string{"-shards", "3"}, "coordinator needs -run"},
+		{"shard and shards", []string{"-shard", "0/2", "-shards", "2", "fig2-2"}, "flag provided but not defined: -shard"},
+		{"listen without shards", []string{"-listen", ":0", "fig2-2"}, "no shard count"},
+		{"coordinator without run", []string{"-shards", "3"}, "no job specs given"},
 		{"worker without run", []string{"-shard", "0/2"}, "flag provided but not defined: -shard"},
-		{"merge with run", []string{"-merge", "-run", "fig2-2"}, "flag provided but not defined: -merge"},
-		{"connect with run", []string{"-connect", "h:1", "-run", "fig2-2"}, "assignments from the coordinator"},
+		{"merge with run", []string{"-merge", "fig2-2"}, "flag provided but not defined: -merge"},
+		{"connect with run", []string{"-connect", "h:1", "-listen", ":0"}, "-listen is a coordinator flag"},
 		{"serve-stdio with output", []string{"-serve-stdio", "-o", "f.json"}, "flag provided but not defined: -serve-stdio"},
-		{"shard with listen", []string{"-run", "x", "-shard", "0/2", "-listen", ":0"}, "flag provided but not defined: -shard"},
-		{"unknown transport", []string{"-run", "x", "-shards", "2", "-transport", "smoke-signals"}, "flag provided but not defined: -transport"},
-		{"tcp transport without listen", []string{"-run", "x", "-shards", "2", "-transport", "tcp"}, "flag provided but not defined: -transport"},
-		{"procs with tcp", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-procs", "3"}, "flag provided but not defined: -procs"},
-		{"procs above the shard cap", []string{"-run", "x", "-shards", "2", "-procs", "4097"}, "flag provided but not defined: -procs"},
-		{"listen with subprocess transport", []string{"-run", "x", "-shards", "2", "-listen", ":0", "-transport", "subprocess"}, "flag provided but not defined: -transport"},
-		{"die-after-assign on coordinator", []string{"-run", "x", "-shards", "2", "-die-after-assign", "1"}, "-die-after-assign is a worker flag"},
-		{"die-after-assign on one-shot", []string{"-run", "x", "-shard", "0/2", "-die-after-assign", "1"}, "flag provided but not defined: -shard"},
-		{"worker-die-after without subprocess", []string{"-run", "x", "-shards", "2", "-worker-die-after", "1"}, "flag provided but not defined: -worker-die-after"},
-		{"addr-file without tcp", []string{"-run", "x", "-shards", "2", "-addr-file", "/tmp/a"}, "-addr-file publishes a -listen address"},
+		{"shard with listen", []string{"-shard", "0/2", "-listen", ":0", "fig2-2"}, "flag provided but not defined: -shard"},
+		{"unknown transport", []string{"-shards", "2", "-transport", "smoke-signals", "fig2-2"}, "flag provided but not defined: -transport"},
+		{"tcp transport without listen", []string{"-shards", "2", "-transport", "tcp", "fig2-2"}, "flag provided but not defined: -transport"},
+		{"procs with tcp", []string{"-shards", "2", "-listen", ":0", "-procs", "3", "fig2-2"}, "flag provided but not defined: -procs"},
+		{"procs above the shard cap", []string{"-shards", "2", "-procs", "4097", "fig2-2"}, "flag provided but not defined: -procs"},
+		{"listen with subprocess transport", []string{"-shards", "2", "-listen", ":0", "-transport", "subprocess", "fig2-2"}, "flag provided but not defined: -transport"},
+		{"die-after-assign on coordinator", []string{"-shards", "2", "-die-after-assign", "1", "fig2-2"}, "-die-after-assign is a worker flag"},
+		{"die-after-assign on one-shot", []string{"-shard", "0/2", "-die-after-assign", "1", "fig2-2"}, "flag provided but not defined: -shard"},
+		{"worker-die-after without subprocess", []string{"-shards", "2", "-worker-die-after", "1", "fig2-2"}, "flag provided but not defined: -worker-die-after"},
+		{"addr-file without tcp", []string{"-shards", "2", "-addr-file", "/tmp/a", "fig2-2"}, "-addr-file publishes a -listen address"},
 		{"coordinator flag on connect worker", []string{"-connect", "h:1", "-addr-file", "/tmp/a"}, "coordinator flag"},
 		{"coordinator flag on stdio worker", []string{"-serve-stdio", "-retries", "5"}, "flag provided but not defined: -serve-stdio"},
 		{"retries on connect worker", []string{"-connect", "h:1", "-retries", "5"}, "coordinator flag"},
 		{"coordinator flag on merge", []string{"-merge", "-no-steal"}, "flag provided but not defined: -merge"},
-		{"coordinator flag on one-shot", []string{"-run", "x", "-shard", "0/2", "-procs", "3"}, "flag provided but not defined: -shard"},
-		{"campaign and merge", []string{"-campaign", "-merge", "fig2-2"}, "flag provided but not defined: -merge"},
-		{"campaign and connect", []string{"-campaign", "-connect", "h:1"}, "contradictory modes"},
-		{"campaign with run", []string{"-campaign", "-run", "fig2-2"}, "job specs, not -run"},
-		{"campaign with one-shot output", []string{"-campaign", "-o", "f.json", "fig2-2"}, "flag provided but not defined: -o"},
-		{"campaign without jobs", []string{"-campaign", "-shards", "2"}, "no campaign jobs"},
-		{"campaign bad verify", []string{"-campaign", "-verify", "1.5", "fig2-2"}, "outside [0, 1]"},
-		{"campaign bad spec", []string{"-campaign", "-shards", "2", "fig2-2:flux=1"}, "unknown option"},
-		{"campaign spec without shards", []string{"-campaign", "fig2-2"}, "no shard count"},
-		{"campaign missing job file", []string{"-campaign", "-shards", "2", "@/definitely/not/a/file"}, "no such file"},
-		{"campaign with die-after-assign", []string{"-campaign", "-die-after-assign", "1", "fig2-2"}, "-die-after-assign is a worker flag"},
-		{"campaign listen with inproc", []string{"-campaign", "-transport", "inproc", "-listen", ":0", "fig2-2"}, "flag provided but not defined: -transport"},
-		{"run bad verify", []string{"-run", "fig2-2", "-shards", "2", "-verify", "NaN"}, "outside [0, 1]"},
-		{"run with job-spec arguments", []string{"-run", "fig2-2", "-shards", "2", "fig3-1"}, "queue several with -campaign"},
-		{"run unknown experiment", []string{"-run", "no-such", "-shards", "2"}, "unknown experiment"},
-		{"run non-finite scale", []string{"-run", "fig2-2", "-shards", "2", "-scale", "NaN"}, "invalid scale"},
+		{"coordinator flag on one-shot", []string{"-shard", "0/2", "-procs", "3", "fig2-2"}, "flag provided but not defined: -shard"},
+		{"campaign and merge", []string{"-shards", "2", "-merge", "fig2-2"}, "flag provided but not defined: -merge"},
+		{"campaign and connect", []string{"-connect", "h:1", "fig2-2"}, "contradictory modes"},
+		{"campaign with run", []string{"-campaign", "-run", "fig2-2"}, "flag provided but not defined: -campaign"},
+		{"campaign with one-shot output", []string{"-shards", "2", "-o", "f.json", "fig2-2"}, "flag provided but not defined: -o"},
+		{"campaign without jobs", []string{"-shards", "2", "-listen", ":0"}, "no job specs given"},
+		{"campaign bad verify", []string{"-verify", "1.5", "fig2-2"}, "outside [0, 1]"},
+		{"campaign bad spec", []string{"-shards", "2", "fig2-2:flux=1"}, "unknown option"},
+		{"campaign spec without shards", []string{"fig2-2"}, "no shard count"},
+		{"campaign spec above the shard cap", []string{"fig2-2:shards=4097"}, "above the cap of 4096"},
+		{"campaign missing job file", []string{"-shards", "2", "@/definitely/not/a/file"}, "no such file"},
+		{"campaign with die-after-assign", []string{"-die-after-assign", "1", "fig2-2"}, "-die-after-assign is a worker flag"},
+		{"campaign listen with inproc", []string{"-transport", "inproc", "-listen", ":0", "fig2-2"}, "flag provided but not defined: -transport"},
+		{"run bad verify", []string{"-shards", "2", "-verify", "NaN", "fig2-2"}, "outside [0, 1]"},
+		{"run with job-spec arguments", []string{"-run", "fig2-2", "-shards", "2", "fig3-1"}, "flag provided but not defined: -run"},
+		{"run unknown experiment", []string{"-shards", "2", "no-such"}, "unknown experiment"},
+		{"run non-finite scale", []string{"-shards", "2", "-scale", "NaN", "fig2-2"}, "invalid scale"},
+		{"run flag removed", []string{"-run", "fig2-2", "-shards", "2"}, "flag provided but not defined: -run"},
+		{"campaign flag removed", []string{"-campaign", "fig2-2"}, "flag provided but not defined: -campaign"},
 		{"verify without campaign", []string{"-connect", "h:1", "-verify", "0.5"}, "coordinator flag"},
 		{"report-dir without campaign", []string{"-connect", "h:1", "-report-dir", "/tmp/r"}, "coordinator flag"},
 		{"no-warm without campaign", []string{"-connect", "h:1", "-no-warm"}, "flag provided but not defined: -no-warm"},
@@ -77,12 +81,12 @@ func TestFlagValidation(t *testing.T) {
 		{"heartbeat-misses on stdio worker", []string{"-serve-stdio", "-heartbeat-misses", "5"}, "flag provided but not defined: -serve-stdio"},
 		{"heartbeat-misses on connect worker", []string{"-connect", "h:1", "-heartbeat-misses", "5"}, "coordinator flag"},
 		{"token on merge", []string{"-merge", "-token", "s"}, "flag provided but not defined: -merge"},
-		{"chaos on one-shot", []string{"-run", "x", "-shard", "0/2", "-chaos-plan", "drop=0.1"}, "flag provided but not defined: -shard"},
+		{"chaos on one-shot", []string{"-shard", "0/2", "-chaos-plan", "drop=0.1", "fig2-2"}, "flag provided but not defined: -shard"},
 		{"chaos on stdio worker", []string{"-serve-stdio", "-chaos-plan", "drop=0.1"}, "flag provided but not defined: -serve-stdio"},
-		{"chaos-seed without plan", []string{"-run", "x", "-shards", "2", "-chaos-seed", "7"}, "needs a -chaos-plan"},
-		{"bad chaos plan", []string{"-run", "x", "-shards", "2", "-chaos-plan", "drop=2"}, "probability in [0,1]"},
+		{"chaos-seed without plan", []string{"-shards", "2", "-chaos-seed", "7", "fig2-2"}, "needs a -chaos-plan"},
+		{"bad chaos plan", []string{"-shards", "2", "-chaos-plan", "drop=2", "fig2-2"}, "probability in [0,1]"},
 		{"unknown chaos key", []string{"-connect", "h:1", "-chaos-plan", "teleport=0.5"}, "unknown chaos plan key"},
-		{"reconnect without connect", []string{"-run", "x", "-shards", "2", "-reconnect", "3"}, "-reconnect applies to -connect workers"},
+		{"reconnect without connect", []string{"-shards", "2", "-reconnect", "3", "fig2-2"}, "-reconnect applies to -connect workers"},
 		{"negative reconnect", []string{"-connect", "h:1", "-reconnect", "-1"}, "is negative"},
 		{"bad flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
 	}
@@ -111,10 +115,10 @@ func TestListMode(t *testing.T) {
 }
 
 // TestInprocCoordinatorMatchesDirectRun drives the full coordinator
-// pipeline through the CLI entry point (in-process fleet) and compares
-// against the equivalent of hintbench's output for the same experiment.
-// A -run is a one-job campaign, so verification and -report-dir apply
-// to it too.
+// pipeline through the CLI entry point (in-process fleet) with one job
+// spec and compares against the equivalent of hintbench's output for
+// the same experiment; verification and -report-dir apply to a one-job
+// run too.
 func TestInprocCoordinatorMatchesDirectRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an experiment")
@@ -126,8 +130,8 @@ func TestInprocCoordinatorMatchesDirectRun(t *testing.T) {
 	want := exp.Run(experiments.Config{Scale: 0.1, Seed: 42, Workers: 1}).String() + "\n"
 	repDir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-run", "fig2-2", "-shards", "5", "-scale", "0.1", "-seed", "42",
-		"-verify", "1", "-report-dir", repDir}, &stdout, &stderr)
+	code := run([]string{"-shards", "5", "-scale", "0.1", "-seed", "42",
+		"-verify", "1", "-report-dir", repDir, "fig2-2"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
@@ -155,7 +159,7 @@ func TestInprocCampaignMatchesDirectRuns(t *testing.T) {
 	}
 	repDir := filepath.Join(dir, "reports")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-campaign", "-shards", "3",
+	code := run([]string{"-shards", "3",
 		"-scale", "0.1", "-seed", "42", "-verify", "1", "-report-dir", repDir,
 		"fig2-2", "@" + jobFile}, &stdout, &stderr)
 	if code != 0 {
@@ -203,8 +207,8 @@ func TestDefaultFleetSize(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"one shard", []string{"-run", "fig2-2", "-shards", "1"}, 1},
-		{"wider than the machine", []string{"-campaign", "-shards", "1", "fig2-2", fmt.Sprintf("fig2-2:seed=7:shards=%d", cpus+1)}, cpus},
+		{"one shard", []string{"-shards", "1", "fig2-2"}, 1},
+		{"wider than the machine", []string{"-shards", "1", "fig2-2", fmt.Sprintf("fig2-2:seed=7:shards=%d", cpus+1)}, cpus},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -47,12 +47,15 @@ func BenchmarkHintServeUDP(b *testing.B) {
 		go func() { defer close(done); srv.Serve() }()
 
 		rep, err := hintserve.RunLoad(hintserve.LoadConfig{
-			Target:       srv.LocalAddr().String(),
-			Clients:      2000,
-			Packets:      100000,
-			Senders:      4,
-			TogglePeriod: 32,
-			Timeout:      3 * time.Minute,
+			Target:         srv.LocalAddr().String(),
+			Clients:        2000,
+			Packets:        100000,
+			Senders:        4,
+			MovingRatio:    0.5,
+			TogglePeriod:   32,
+			TrailerRatio:   0.5,
+			HintFrameRatio: 0.05,
+			Timeout:        3 * time.Minute,
 		})
 		srv.Close()
 		<-done

@@ -1,11 +1,7 @@
-// Package campaign is the job spec format of cmd/hintshard: a run of
-// one or more (experiment, scale, seed, shards) jobs through one fleet
-// is written as spec strings or job files (ParseJob, ReadJobs), and
-// the same format arrives over the control plane's POST /jobs. The
-// jobs themselves run through cluster.Run, which queues them in one
-// multi-queue, warms every worker's phy tables once, and emits each
-// report in submission order — each byte-identical to the standalone
-// single-process run of its job.
+// Package campaign re-exports the cluster's job types and Run under the
+// names the benchmark harness imports. The job spec format (ParseJob,
+// ReadJobs) and admission live in internal/cluster; the package's tests
+// drive cluster.Run through these names.
 package campaign
 
 import "repro/internal/cluster"

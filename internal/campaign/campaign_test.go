@@ -3,7 +3,6 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -259,6 +258,18 @@ func TestVerificationPassesCleanCampaign(t *testing.T) {
 	}
 }
 
+// runShard collects the loop records of one assigned shard, in the
+// order an honest worker streams them.
+func runShard(a *cluster.Assign) ([]*experiments.LoopPartial, error) {
+	var loops []*experiments.LoopPartial
+	err := experiments.RunShardStream(a.Experiment, experiments.Config{Scale: a.Scale, Seed: a.Seed, Workers: 1},
+		parallel.Shard{Index: a.Shard, Count: a.Shards}, func(lp *experiments.LoopPartial) error {
+			loops = append(loops, lp)
+			return nil
+		})
+	return loops, err
+}
+
 // corruptOnceServe is a worker that silently corrupts the first shard
 // result with anything in it — it blanks one trial's emissions — and
 // behaves honestly afterwards (a shard whose slice of the trial space
@@ -281,15 +292,14 @@ func corruptOnceServe(c cluster.Conn, corrupted *bool) {
 		case *cluster.Prepare:
 			// ignore: warming is advisory
 		case *cluster.Assign:
-			cfg := experiments.Config{Scale: a.Scale, Seed: a.Seed, Workers: 1}
-			p, err := experiments.RunShard(a.Experiment, cfg, parallel.Shard{Index: a.Shard, Count: a.Shards})
+			loops, err := runShard(a)
 			if err != nil {
 				c.Send(&cluster.ShardError{Job: a.Job, Shard: a.Shard, Msg: err.Error()})
 				continue
 			}
 			if !*corrupted {
 			corrupt:
-				for _, lp := range p.Loops {
+				for _, lp := range loops {
 					for ti := range lp.Trials {
 						tp := &lp.Trials[ti]
 						if len(tp.Accs) > 0 || len(tp.Hists) > 0 || len(tp.Series) > 0 {
@@ -300,7 +310,7 @@ func corruptOnceServe(c cluster.Conn, corrupted *bool) {
 					}
 				}
 			}
-			for _, lp := range p.Loops {
+			for _, lp := range loops {
 				if err := c.Send(&cluster.LoopResult{Job: a.Job, Shard: a.Shard, Loop: lp}); err != nil {
 					return
 				}
@@ -403,94 +413,6 @@ func TestRunValidatesJobs(t *testing.T) {
 	}
 }
 
-// TestParseJob pins the spec grammar.
-func TestParseJob(t *testing.T) {
-	def := Job{Scale: 1, Seed: 42, Shards: 4}
-	good := []struct {
-		spec string
-		want Job
-	}{
-		{"fig3-1", Job{Experiment: "fig3-1", Scale: 1, Seed: 42, Shards: 4}},
-		{"fig3-1:scale=0.2", Job{Experiment: "fig3-1", Scale: 0.2, Seed: 42, Shards: 4}},
-		{"fig3-1:scale=0.2:seed=7:shards=9", Job{Experiment: "fig3-1", Scale: 0.2, Seed: 7, Shards: 9}},
-		{"  fig2-2:seed=-3  ", Job{Experiment: "fig2-2", Scale: 1, Seed: -3, Shards: 4}},
-	}
-	for _, c := range good {
-		got, err := ParseJob(c.spec, def)
-		if err != nil {
-			t.Errorf("ParseJob(%q): %v", c.spec, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseJob(%q) = %+v, want %+v", c.spec, got, c.want)
-		}
-	}
-	bad := []struct{ spec, want string }{
-		{"", "names no experiment"},
-		{"no-such-exp", "unknown experiment"},
-		{"fig3-1:scale", "malformed option"},
-		{"fig3-1:scale=0", "invalid scale"},
-		{"fig2-2:scale=NaN", "invalid scale"},
-		{"fig2-2:scale=Inf", "invalid scale"},
-		{"fig2-2:scale=-Inf", "invalid scale"},
-		{"fig2-2:scale=1e400", "invalid scale"},
-		{"fig3-1:seed=x", "invalid seed"},
-		{"fig3-1:shards=0", "invalid shard count"},
-		{"fig3-1:flux=9", "unknown option"},
-		{"fig3-1:shards=2:bogus=1", "unknown option"},
-	}
-	for _, c := range bad {
-		if _, err := ParseJob(c.spec, def); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("ParseJob(%q) error %v, want mention of %q", c.spec, err, c.want)
-		}
-	}
-	if _, err := ParseJob("fig3-1", Job{Scale: 1, Seed: 42}); err == nil || !strings.Contains(err.Error(), "no shard count") {
-		t.Errorf("spec without any shard count accepted: %v", err)
-	}
-	// A non-finite -scale default is refused like a bad scale= option;
-	// an explicit option overrides it.
-	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := ParseJob("fig3-1", Job{Scale: scale, Seed: 42, Shards: 4}); err == nil || !strings.Contains(err.Error(), "invalid scale") {
-			t.Errorf("default scale %g accepted: %v", scale, err)
-		}
-		if _, err := ParseJob("fig3-1:scale=0.5", Job{Scale: scale, Seed: 42, Shards: 4}); err != nil {
-			t.Errorf("scale=0.5 over default %g: %v", scale, err)
-		}
-	}
-}
-
-// TestReadJobs pins the job-file form: comments, blanks, defaults, and
-// line numbers in errors.
-func TestReadJobs(t *testing.T) {
-	def := Job{Scale: 1, Seed: 42, Shards: 4}
-	in := `# campaign for the full figure set
-fig2-2
-fig3-1:scale=0.2   # faster
-
-fig2-2:seed=7:shards=2
-`
-	jobs, err := ReadJobs(strings.NewReader(in), def)
-	if err != nil {
-		t.Fatalf("ReadJobs: %v", err)
-	}
-	want := []Job{
-		{Experiment: "fig2-2", Scale: 1, Seed: 42, Shards: 4},
-		{Experiment: "fig3-1", Scale: 0.2, Seed: 42, Shards: 4},
-		{Experiment: "fig2-2", Scale: 1, Seed: 7, Shards: 2},
-	}
-	if len(jobs) != len(want) {
-		t.Fatalf("got %d jobs, want %d", len(jobs), len(want))
-	}
-	for i := range want {
-		if jobs[i] != want[i] {
-			t.Errorf("job %d = %+v, want %+v", i, jobs[i], want[i])
-		}
-	}
-	if _, err := ReadJobs(strings.NewReader("fig2-2\nnot-an-experiment\n"), def); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("bad line not located: %v", err)
-	}
-}
-
 // recordPrepareServe is an honest worker that additionally records the
 // frame list of every Prepare it receives.
 func recordPrepareServe(c cluster.Conn, name string, record func([]int)) {
@@ -508,13 +430,12 @@ func recordPrepareServe(c cluster.Conn, name string, record func([]int)) {
 		case *cluster.Prepare:
 			record(append([]int(nil), a.Frames...))
 		case *cluster.Assign:
-			cfg := experiments.Config{Scale: a.Scale, Seed: a.Seed, Workers: 1}
-			p, err := experiments.RunShard(a.Experiment, cfg, parallel.Shard{Index: a.Shard, Count: a.Shards})
+			loops, err := runShard(a)
 			if err != nil {
 				c.Send(&cluster.ShardError{Job: a.Job, Shard: a.Shard, Msg: err.Error()})
 				continue
 			}
-			for _, lp := range p.Loops {
+			for _, lp := range loops {
 				if err := c.Send(&cluster.LoopResult{Job: a.Job, Shard: a.Shard, Loop: lp}); err != nil {
 					return
 				}

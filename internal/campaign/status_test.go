@@ -159,11 +159,11 @@ func TestCampaignMutationsViaHTTP(t *testing.T) {
 		Service: "hintshard",
 		Control: ctl,
 		Submit: func(spec string) (int, error) {
-			j, err := ParseJob(spec, def)
+			j, err := cluster.ParseJob(spec, def)
 			if err != nil {
 				return 0, err
 			}
-			return ctl.Submit(cluster.Job{Experiment: j.Experiment, Seed: j.Seed, Scale: j.Scale, Shards: j.Shards})
+			return ctl.Submit(j)
 		},
 		Cancel: ctl.Cancel,
 	})
@@ -311,7 +311,7 @@ func TestSubmitRefusedAtJobCap(t *testing.T) {
 		Service: "hintshard",
 		Control: ctl,
 		Submit: func(spec string) (int, error) {
-			j, err := ParseJob(spec, job)
+			j, err := cluster.ParseJob(spec, job)
 			if err != nil {
 				return 0, err
 			}

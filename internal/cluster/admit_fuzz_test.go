@@ -1,18 +1,19 @@
 package cluster_test
 
 import (
+	"math"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 )
 
 // FuzzAdmit feeds arbitrary job spec text through the coordinator's
-// front door — campaign.ParseJob, then admission's per-job check — and
-// asserts that nothing panics and that every job admission accepts
-// names a registered experiment and asks for 1 to MaxShards shards, so
-// admitting it sizes per-shard state within the cap.
+// front door, cluster.ParseJob, which ends with admission's own check,
+// and asserts that nothing panics and that every job it accepts names a
+// registered experiment, has a finite scale (so its Assign encodes) and
+// asks for 1 to MaxShards shards, so admitting it sizes per-shard state
+// within the cap.
 func FuzzAdmit(f *testing.F) {
 	for _, spec := range []string{
 		"fig4-6",
@@ -30,15 +31,15 @@ func FuzzAdmit(f *testing.F) {
 	}
 	def := cluster.Job{Scale: 1, Seed: 42, Shards: 4}
 	f.Fuzz(func(t *testing.T, spec string) {
-		j, err := campaign.ParseJob(spec, def)
+		j, err := cluster.ParseJob(spec, def)
 		if err != nil {
-			return
-		}
-		if cluster.CheckJob(j) != nil {
 			return
 		}
 		if _, ok := experiments.ByID(j.Experiment); !ok {
 			t.Fatalf("admitted %q: unknown experiment %q", spec, j.Experiment)
+		}
+		if math.IsNaN(j.Scale) || math.IsInf(j.Scale, 0) {
+			t.Fatalf("admitted %q with scale %g", spec, j.Scale)
 		}
 		if j.Shards < 1 || j.Shards > cluster.MaxShards {
 			t.Fatalf("admitted %q with %d shards, outside [1, %d]", spec, j.Shards, cluster.MaxShards)

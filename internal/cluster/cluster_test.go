@@ -135,6 +135,33 @@ func TestRunRefusesShardsAboveCap(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNonFiniteScale: a job whose scale is NaN or ±Inf is
+// refused at admission with an error naming the scale. Admitted, its
+// Assign could not be JSON-encoded, and the coordinator would report
+// its own healthy worker as dead.
+func TestRunRefusesNonFiniteScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var assigned atomic.Bool
+		served := make(chan struct{})
+		tr := NewInProcess(1, func(i int, c Conn) {
+			defer close(served)
+			Serve(c, ServeOptions{Name: "w", Workers: 1, OnAssign: func(Assign) error {
+				assigned.Store(true)
+				return nil
+			}})
+		})
+		_, _, err := runOne(tr, Job{Experiment: "fig2-2", Scale: scale, Seed: 42, Shards: 1}, Options{ShardWorkers: 1})
+		tr.Close()
+		<-served
+		if want := fmt.Sprintf("invalid scale %g", scale); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("scale %g: error %v, want mention of %q", scale, err, want)
+		}
+		if assigned.Load() {
+			t.Errorf("scale %g: a worker received an assignment", scale)
+		}
+	}
+}
+
 // TestWorkerErrorExhaustsRetryBudget drives a shard that fails
 // deterministically (its worker answers every assignment with a
 // ShardError) into the retry budget and expects a clean abort carrying

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -92,6 +93,9 @@ func TestControlSubmitCancelLifecycle(t *testing.T) {
 	}
 	if _, err := ctl.Submit(Job{Experiment: "fig2-2", Scale: 0.1, Seed: 7, Shards: MaxShards + 1}); err == nil || !strings.Contains(err.Error(), "above the cap") {
 		t.Fatalf("oversized submit: %v", err)
+	}
+	if _, err := ctl.Submit(Job{Experiment: "fig2-2", Scale: math.Inf(1), Seed: 7, Shards: 2}); err == nil || !strings.Contains(err.Error(), "invalid scale +Inf") {
+		t.Fatalf("non-finite scale submit: %v", err)
 	}
 	if err := ctl.Cancel(5); err == nil || !strings.Contains(err.Error(), "no job 5") {
 		t.Fatalf("cancel of unknown job: %v", err)

@@ -52,30 +52,11 @@ const MaxOpenJobs = 256
 // the same job may be admitted once earlier reports are out.
 var ErrQueueFull = errors.New("cluster: job queue full")
 
-// checkJob is admission's per-job check: a registered experiment and
-// 1 ≤ Shards ≤ MaxShards, so admitting a job never sizes per-shard
-// state beyond the cap. The error completes "job N".
-func checkJob(j Job) error {
-	if _, ok := experiments.ByID(j.Experiment); !ok {
-		return fmt.Errorf("names unknown experiment %q", j.Experiment)
-	}
-	if j.Shards < 1 {
-		return fmt.Errorf("(%s) has no shard count", j.Experiment)
-	}
-	if j.Shards > MaxShards {
-		return fmt.Errorf("(%s) asks for %d shards, above the cap of %d", j.Experiment, j.Shards, MaxShards)
-	}
-	return nil
-}
-
 // Options configures one Run; every setting applies to every job.
 type Options struct {
 	// ShardWorkers bounds the goroutines each assignment fans across
-	// inside its worker (0 = the worker decides); MergeWorkers bounds
-	// each merged finish phase's in-process parallelism (0 = one per
-	// CPU).
+	// inside its worker (0 = the worker decides).
 	ShardWorkers int
-	MergeWorkers int
 	// Retries is the failure budget per shard: a shard abandoned by a
 	// dying worker or reported failed re-dispatches up to Retries times
 	// before the run aborts. Negative means no retries.
@@ -220,20 +201,22 @@ func newNonce() string {
 
 // Run executes an ordered set of jobs over the transport's workers and
 // returns one result per job, in submission order; a single experiment
-// is a one-job run. Every job keeps one task ledger, its fresh shard
-// runs and its verification re-runs; a worker going idle takes the
-// first pending task of the earliest incomplete job, else a speculative
-// copy of a straggler — so shards of different experiments interleave
-// and the tail of job i overlaps the head of job i+1. Tasks lost to
-// dying workers re-dispatch within the per-shard retry budget, the
-// first completion of each task wins, and each job's completed shard
-// set feeds experiments.MergeShards unchanged — so every report is
-// byte-identical to the single-process run of its job, whatever the
-// transport, worker count, assignment order, interleaving, or failure
-// history. Reports also go out through o.Emit in submission order, each
-// the moment its merge (and verification sample) completes and its
-// predecessors are out. Run is the I/O shell of the scheduler, which
-// makes every decision: it feeds it one input at a time from a select.
+// is a one-job run. Every job, initial or submitted, passes checkJob,
+// the rule ParseJob ends with, and keeps one task ledger, its fresh
+// shard runs and its verification re-runs; a worker going idle takes
+// the first pending task of the earliest incomplete job, else a
+// speculative copy of a straggler — so shards of different experiments
+// interleave and the tail of job i overlaps the head of job i+1. Tasks
+// lost to dying workers re-dispatch within the per-shard retry budget,
+// the first completion of each task wins, and each job's shards feed
+// their loop records to experiments.MergeShards unchanged — so every
+// report is byte-identical to the single-process run of its job,
+// whatever the transport, worker count, assignment order, interleaving,
+// or failure history. Reports also go out through o.Emit in submission
+// order, each the moment its merge (and verification sample) completes
+// and its predecessors are out. Run is the I/O shell of the scheduler,
+// which makes every decision: it feeds it one input at a time from a
+// select.
 func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 	if len(jobs) == 0 {
 		return nil, RunStats{}, errors.New("cluster: no jobs")
@@ -337,8 +320,9 @@ func Run(t Transport, jobs []Job, o Options) ([]Result, RunStats, error) {
 		for _, e := range s.out {
 			switch {
 			case e.parts != nil:
+				j := s.states[e.job].job
 				spawn(func() {
-					rep, err := experiments.MergeShards(e.parts, o.MergeWorkers)
+					rep, err := experiments.MergeShards(j.Experiment, experiments.Config{Scale: j.Scale, Seed: j.Seed}, e.parts)
 					events <- func(now time.Time) { s.merged(now, e.job, rep, err) }
 				})
 			case e.msg != nil:

@@ -8,8 +8,8 @@
 // byte-identical across both, for any worker count, assignment order,
 // speculative duplication, or worker death, because every shard's
 // content is a pure function of (experiment, seed, scale, shard k/K)
-// and the coordinator feeds the completed shard set through the
-// experiments.MergeShards contract unchanged.
+// and the coordinator feeds each job's shards, their loop records in
+// shard order, through the experiments.MergeShards contract unchanged.
 //
 // The wire protocol is a small typed message set carried in the
 // length-prefixed frames of internal/stats: one kind byte, then a JSON

@@ -75,7 +75,7 @@ type reference struct {
 }
 
 // jobState is the per-job half of the coordinator state: the task
-// ledger, the completed partials and the straggler sample.
+// ledger, the completed shards' loop records and the straggler sample.
 type jobState struct {
 	job Job
 	// tasks holds shard k's fresh run at index k, then one re-run per
@@ -88,10 +88,11 @@ type jobState struct {
 	// freshLeft counts fresh runs not done (the merge starts at 0), left
 	// all tasks not done (the report waits for 0).
 	freshLeft, left int
-	// partials is released once the merge starts, and merged once the
-	// report is delivered, so a long-running coordinator holds the
+	// loops[k] is shard k's first result, its loop records in execution
+	// order. loops is released once the merge starts, and merged once
+	// the report is delivered, so a long-running coordinator holds the
 	// results of in-flight jobs only.
-	partials []*experiments.Partial
+	loops [][]*experiments.LoopPartial
 	// times feeds the straggler rule.
 	times        shardTimes
 	merged       *experiments.Report
@@ -111,7 +112,7 @@ type effect struct {
 	msg      Message
 	graceful bool
 	job      int
-	parts    []*experiments.Partial
+	parts    [][]*experiments.LoopPartial
 }
 
 // scheduler makes every decision of Run, with no goroutines, channels,
@@ -195,7 +196,7 @@ func (s *scheduler) admit(j Job) (int, error) {
 		pending:   make([]int, j.Shards),
 		freshLeft: j.Shards,
 		left:      j.Shards + len(sample),
-		partials:  make([]*experiments.Partial, j.Shards),
+		loops:     make([][]*experiments.LoopPartial, j.Shards),
 	}
 	for k := range js.pending {
 		js.tasks[k].shard, js.pending[k] = k, k
@@ -347,16 +348,7 @@ func (s *scheduler) shardDone(w *workerState) {
 		js.freshLeft--
 		js.left--
 		js.times.add(took)
-		js.partials[k] = &experiments.Partial{
-			Version:    experiments.PartialVersion,
-			Job:        ji,
-			Experiment: js.job.Experiment,
-			Shard:      k,
-			Shards:     js.job.Shards,
-			Seed:       js.job.Seed,
-			Scale:      js.job.Scale,
-			Loops:      loops,
-		}
+		js.loops[k] = loops
 		if js.freshLeft == 0 {
 			s.startMerge(ji)
 		}
@@ -649,16 +641,14 @@ func (s *scheduler) startMerge(ji int) {
 		return
 	}
 	js.mergeStarted = true
-	parts := make([]*experiments.Partial, 0, js.job.Shards)
-	for k, p := range js.partials {
-		if p == nil {
-			s.abort(fmt.Errorf("cluster: internal error: job %d shard %d/%d completed without a partial", ji, k, js.job.Shards))
+	for k, t := range js.tasks[:js.job.Shards] {
+		if !t.done {
+			s.abort(fmt.Errorf("cluster: internal error: job %d merging before shard %d/%d is done", ji, k, js.job.Shards))
 			return
 		}
-		parts = append(parts, p)
 	}
-	js.partials = nil
-	s.out = append(s.out, effect{job: ji, parts: parts})
+	s.out = append(s.out, effect{job: ji, parts: js.loops})
+	js.loops = nil
 }
 
 // fail returns one lost copy of job ji's task ti. The shard's failure

@@ -118,7 +118,8 @@ func (c *script) merge() {
 	for len(c.merges) > 0 {
 		e := c.merges[0]
 		c.merges = c.merges[1:]
-		rep, err := experiments.MergeShards(e.parts, 1)
+		j := c.s.states[e.job].job
+		rep, err := experiments.MergeShards(j.Experiment, experiments.Config{Scale: j.Scale, Seed: j.Seed}, e.parts)
 		c.s.merged(c.now, e.job, rep, err)
 		c.route()
 	}

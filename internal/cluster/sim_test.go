@@ -614,7 +614,7 @@ func (r *simRun) allDone() bool {
 
 // checkMerge: a job merges once, never after cancellation, and from
 // exactly shards 0..K−1, each the first completion's content.
-func (r *simRun) checkMerge(job int, parts []*experiments.Partial) {
+func (r *simRun) checkMerge(job int, parts [][]*experiments.LoopPartial) {
 	j := r.jobs[job]
 	switch {
 	case j.cancelled:
@@ -627,10 +627,9 @@ func (r *simRun) checkMerge(job int, parts []*experiments.Partial) {
 	j.merged = true
 	j.report = &experiments.Report{ID: fmt.Sprint("job", job)}
 	for k, p := range parts {
-		ok := p.Version == experiments.PartialVersion && p.Job == job && p.Shard == k && p.Shards == j.job.Shards &&
-			p.Experiment == j.job.Experiment && p.Seed == j.job.Seed && p.Scale == j.job.Scale && len(p.Loops) == len(j.first[k])
-		for i := 0; ok && i < len(p.Loops); i++ {
-			ok = p.Loops[i] == j.first[k][i]
+		ok := len(p) == len(j.first[k])
+		for i := 0; ok && i < len(p); i++ {
+			ok = p[i] == j.first[k][i]
 		}
 		if !ok {
 			r.fail("job %d merge part %d is not shard %d's first completion: %+v", job, k, k, p)

@@ -56,12 +56,10 @@ func TestReportsIdenticalAcrossWorkerCounts(t *testing.T) {
 
 // TestReportsIdenticalAcrossShards is the golden shard-parity test: for
 // every registered experiment, splitting the trial space into K shard
-// worker runs, serializing each shard's partial through the wire codec,
-// and merging the deserialized partials must reproduce the
+// worker runs, serializing each shard's loop records through the wire
+// codec, and merging the deserialized records must reproduce the
 // single-process report byte for byte — for every K, including shard
-// counts that leave some shards empty. Partials are handed to the
-// coordinator out of order to prove the merge does not depend on worker
-// completion order.
+// counts that leave some shards empty.
 func TestReportsIdenticalAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -87,28 +85,26 @@ func TestReportsIdenticalAcrossShards(t *testing.T) {
 			cfg := Config{Scale: scale, Seed: 42}
 			base := exp.Run(cfg).String()
 			for _, k := range counts {
-				parts := make([]*Partial, 0, k)
+				shards := make([][]*LoopPartial, 0, k)
 				for _, shard := range parallel.NewShardPlan(k).Shards() {
-					p, err := RunShard(exp.ID, cfg, shard)
-					if err != nil {
-						t.Fatalf("RunShard %v: %v", shard, err)
-					}
 					// Round-trip through JSON, as the loop records
 					// travel on the wire: the parity guarantee must
 					// survive serialize → deserialize.
-					data, err := json.Marshal(p)
-					if err != nil {
-						t.Fatalf("encode shard %v: %v", shard, err)
+					var loops []*LoopPartial
+					for _, lp := range runShard(t, exp.ID, cfg, shard) {
+						data, err := json.Marshal(lp)
+						if err != nil {
+							t.Fatalf("encode shard %v: %v", shard, err)
+						}
+						lp2 := new(LoopPartial)
+						if err := json.Unmarshal(data, lp2); err != nil {
+							t.Fatalf("decode shard %v: %v", shard, err)
+						}
+						loops = append(loops, lp2)
 					}
-					p2 := new(Partial)
-					if err := json.Unmarshal(data, p2); err != nil {
-						t.Fatalf("decode shard %v: %v", shard, err)
-					}
-					// Prepend: the coordinator sees shards in reverse
-					// completion order.
-					parts = append([]*Partial{p2}, parts...)
+					shards = append(shards, loops)
 				}
-				rep, err := MergeShards(parts, 0)
+				rep, err := MergeShards(exp.ID, cfg, shards)
 				if err != nil {
 					t.Fatalf("MergeShards K=%d: %v", k, err)
 				}

@@ -34,7 +34,7 @@ import (
 //     absorb sequence of the in-process run, float-op for float-op —
 //     and the trial loops become no-ops feeding the same finish phase.
 //
-// Partials keep per-trial granularity (not per-shard aggregates)
+// Loop records keep per-trial granularity (not per-shard aggregates)
 // because some merges are order-sensitive float reductions (for
 // example Histogram.sum): absorbing trial-by-trial reproduces the
 // in-process grouping of additions exactly, where pre-merged shard
@@ -55,21 +55,20 @@ const (
 )
 
 // shardExec carries the engine state of one experiment run. It is
-// created per run (by the register wrapper or by RunShard/MergeShards),
-// and all mutation happens on the caller's goroutine — per-trial
-// emitters are the only state workers touch, and each trial owns its
-// emitter exclusively.
+// created per run (by the register wrapper, RunShardStream or
+// MergeShards), and all mutation happens on the caller's goroutine —
+// per-trial emitters are the only state workers touch, and each trial
+// owns its emitter exclusively.
 type shardExec struct {
 	mode  shardMode
 	shard parallel.Shard
 	cols  colSet
 	// emit receives each completed loop record in execution order
 	// (modeCollect): a cluster worker sends it to the coordinator while
-	// later loops still run, RunShard's own sink collects into a
-	// Partial. Records are handed off, never retained here, so a
-	// streaming worker holds one loop at a time. An emit error aborts
-	// the run via an emitAbort panic that RunShardStream converts back
-	// into an error.
+	// later loops still run. Records are handed off, never retained
+	// here, so a streaming worker holds one loop at a time. An emit
+	// error aborts the run via an emitAbort panic that RunShardStream
+	// converts back into an error.
 	emit func(*LoopPartial) error
 	// loops maps loop label → declared trial count, for validating
 	// that replayed partials match the experiment's structure and that
@@ -80,7 +79,7 @@ type shardExec struct {
 	// same cell×unit decomposition the experiment declares.
 	plans map[string]parallel.SubPlan
 	// replayed marks the partial loops the experiment consumed in
-	// modeReplay; MergeShards turns leftovers into an error (a partial
+	// modeReplay; MergeShards turns leftovers into an error (a shard
 	// with loops the experiment never runs is from a different build).
 	replayed map[string]bool
 	// owner maps collector name → loop label, so a collector written

@@ -33,8 +33,8 @@ type Config struct {
 
 	// sh is the shard-aware trial engine state (see exec.go). The
 	// register wrapper installs the in-process engine when a caller
-	// leaves it nil; RunShard and MergeShards install the worker and
-	// coordinator engines.
+	// leaves it nil; RunShardStream and MergeShards install the worker
+	// and coordinator engines.
 	sh *shardExec
 }
 
@@ -159,8 +159,8 @@ func (r *Report) String() string {
 
 // Runner is a named experiment entry point. Run returns the finished
 // report — or nil when the Config carries a shard-worker engine
-// (RunShard is the only caller that sets one up and it discards the
-// nil).
+// (RunShardStream is the only caller that sets one up and it discards
+// the nil).
 type Runner struct {
 	ID   string
 	Run  func(Config) *Report
@@ -210,8 +210,8 @@ func NewRegistry() *Registry {
 // Register validates and adds one experiment. The stored Run is wrapped
 // to install the in-process trial engine when the caller did not set
 // one up, so plain Runner.Run keeps working unchanged while
-// RunShard/MergeShards can substitute the worker and coordinator
-// engines.
+// RunShardStream and MergeShards can substitute the worker and
+// coordinator engines.
 func (g *Registry) Register(r Runner) error {
 	if r.ID == "" {
 		return fmt.Errorf("experiments: Register with empty ID")

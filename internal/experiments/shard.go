@@ -9,49 +9,23 @@ import (
 	"repro/internal/stats"
 )
 
-// This file defines the cross-process wire format for sharded
-// experiment execution and the two entry points around it:
+// This file defines the records of sharded experiment execution and
+// the two entry points around them:
 //
-//	RunShard    — worker side: run one shard's slice of every trial
-//	              range and return the partial, unmerged per-trial
-//	              collector state.
-//	MergeShards — coordinator side: validate K partials, absorb their
-//	              trials in global trial-index order, and run the
-//	              experiment's finish phase over the merged collectors.
+//	RunShardStream — worker side: run one shard's slice of every trial
+//	                 range and stream each loop's partial, unmerged
+//	                 per-trial collector state as the loop finishes.
+//	MergeShards    — coordinator side: validate the loop records of K
+//	                 shards, absorb their trials in global trial-index
+//	                 order, and run the experiment's finish phase over
+//	                 the merged collectors.
 //
-// Workers stream the envelope's loop records to a coordinator inside
-// the cluster protocol's JSON messages; the per-collector payloads
-// inside them are the bit-exact binary codecs from internal/stats,
-// base64-wrapped by encoding/json. A report produced by MergeShards is
-// byte-identical to the single-process report for any shard count —
-// the golden test in determinism_test.go enforces this for every
-// registered experiment.
-
-// PartialVersion tags the shard wire format; a coordinator refuses
-// partials of any other version.
-const PartialVersion = 1
-
-// Partial is one shard's contribution to an experiment: the emissions
-// of every trial the shard executed, keyed by trial loop, exactly as
-// recorded — nothing is pre-merged.
-type Partial struct {
-	Version int `json:"version"`
-	// Job tags the campaign job the shard belongs to (0 outside a
-	// campaign); a coordinator refuses to merge partials whose job tags
-	// disagree, so shards of two interleaved experiments can never be
-	// mixed into one report.
-	Job        int    `json:"job,omitempty"`
-	Experiment string `json:"experiment"`
-	// Shard / Shards identify the slice: shard Shard of Shards.
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
-	// Seed and Scale echo the worker's Config; a coordinator refuses
-	// to merge partials whose configurations disagree.
-	Seed  int64   `json:"seed"`
-	Scale float64 `json:"scale"`
-	// Loops holds one record per cfg.trials loop, in execution order.
-	Loops []*LoopPartial `json:"loops"`
-}
+// Workers stream the loop records to a coordinator inside the cluster
+// protocol's JSON messages; the per-collector payloads inside them are
+// the bit-exact binary codecs from internal/stats, base64-wrapped by
+// encoding/json. A report produced by MergeShards is byte-identical to
+// the single-process report for any shard count — the golden test in
+// determinism_test.go enforces this for every registered experiment.
 
 // LoopPartial is one trial loop's shard slice.
 type LoopPartial struct {
@@ -235,46 +209,22 @@ func sortedKeys(m map[string][]byte) []string {
 	return out
 }
 
-// RunShard executes one shard of the experiment's trial space: every
-// cfg.trials loop runs only the shard's contiguous slice (trial seeds
-// still derive from the global trial index, so each trial computes
-// exactly what it would in a single-process run) and the finish phase
-// is skipped. The returned Partial carries the unmerged per-trial
-// emissions for MergeShards. Shard {0, 1} collects the whole trial
-// space.
-func RunShard(id string, cfg Config, shard parallel.Shard) (*Partial, error) {
-	var loops []*LoopPartial
-	err := RunShardStream(id, cfg, shard, func(lp *LoopPartial) error {
-		loops = append(loops, lp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Partial{
-		Version:    PartialVersion,
-		Experiment: id,
-		Shard:      shard.Index,
-		Shards:     shard.Count,
-		Seed:       cfg.Seed,
-		Scale:      cfg.Scale,
-		Loops:      loops,
-	}, nil
-}
-
 // emitAbort carries a streaming-sink error out of the trial engine; the
 // experiment run is abandoned at the loop boundary where the sink broke
 // (there is no point computing trials nobody can receive).
 type emitAbort struct{ err error }
 
-// RunShardStream is the streaming form of RunShard: emit receives each
-// trial loop's partial record as soon as the loop finishes, while later
-// loops are still running — a cluster worker forwards them to its
-// coordinator so the merge absorbs results incrementally, holding one
-// loop in memory at a time instead of the whole shard. The engine hands
-// records off and does not retain them; RunShard is this function with
-// a collecting sink. If emit returns an error, the run stops at that
-// loop boundary and the error is returned.
+// RunShardStream executes one shard of the experiment's trial space:
+// every cfg.trials loop runs only the shard's contiguous slice (trial
+// seeds still derive from the global trial index, so each trial
+// computes exactly what it would in a single-process run) and the
+// finish phase is skipped. emit receives each trial loop's record as
+// soon as the loop finishes, while later loops are still running — a
+// cluster worker forwards them to its coordinator, holding one loop in
+// memory at a time instead of the whole shard. The engine hands records
+// off and does not retain them. Shard {0, 1} covers the whole trial
+// space. If emit returns an error, the run stops at that loop boundary
+// and the error is returned.
 func RunShardStream(id string, cfg Config, shard parallel.Shard, emit func(*LoopPartial) error) (err error) {
 	if emit == nil {
 		return fmt.Errorf("experiments: RunShardStream needs a sink")
@@ -303,69 +253,50 @@ func RunShardStream(id string, cfg Config, shard parallel.Shard, emit func(*Loop
 	return nil
 }
 
-// MergeShards merges a complete set of shard partials and builds the
-// finished report. The partials may arrive in any order; they must
-// form exactly the shard set {0, …, K−1} of one (experiment, seed,
-// scale) run and agree on every trial loop. Trials are absorbed in
-// global trial-index order — the same absorb sequence as a
-// single-process run — so the report is byte-identical to it. workers
-// bounds the finish phase's in-process parallelism (most finish phases
-// are serial; 0 means one per CPU).
-func MergeShards(parts []*Partial, workers int) (*Report, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("experiments: no partials to merge")
+// MergeShards merges the loop records of a complete shard set of
+// experiment id, run at cfg's scale and seed, and builds the finished
+// report. shards[k] holds shard k of len(shards)'s records in execution
+// order, exactly as RunShardStream emitted them, and every shard must
+// agree on every trial loop. Trials are absorbed in global trial-index
+// order — the same absorb sequence as a single-process run — so the
+// report is byte-identical to it.
+func MergeShards(id string, cfg Config, shards [][]*LoopPartial) (*Report, error) {
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("experiments: no shards to merge")
 	}
-	ordered := append([]*Partial(nil), parts...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Shard < ordered[j].Shard })
-	first := ordered[0]
-	k := len(ordered)
-	for i, p := range ordered {
-		if p.Version != PartialVersion {
-			return nil, fmt.Errorf("experiments: partial version %d, want %d", p.Version, PartialVersion)
-		}
-		if p.Shards != k || p.Shard != i {
-			return nil, fmt.Errorf("experiments: partials do not form shards 0..%d/%d (got %d/%d)",
-				k-1, k, p.Shard, p.Shards)
-		}
-		if p.Experiment != first.Experiment || p.Seed != first.Seed || p.Scale != first.Scale {
-			return nil, fmt.Errorf("experiments: partial %d/%d is from run (%s seed=%d scale=%g), first is (%s seed=%d scale=%g)",
-				p.Shard, p.Shards, p.Experiment, p.Seed, p.Scale, first.Experiment, first.Seed, first.Scale)
-		}
-		if p.Job != first.Job {
-			return nil, fmt.Errorf("experiments: partial %d/%d is tagged job %d, first is job %d",
-				p.Shard, p.Shards, p.Job, first.Job)
-		}
-		if len(p.Loops) != len(first.Loops) {
-			return nil, fmt.Errorf("experiments: partial %d/%d records %d trial loops, first records %d",
-				p.Shard, p.Shards, len(p.Loops), len(first.Loops))
-		}
-	}
-	r, ok := ByID(first.Experiment)
+	r, ok := ByID(id)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", first.Experiment)
+		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+	}
+	k, first := len(shards), shards[0]
+	for i, loops := range shards {
+		if len(loops) != len(first) {
+			return nil, fmt.Errorf("experiments: shard %d/%d records %d trial loops, shard 0 records %d",
+				i, k, len(loops), len(first))
+		}
 	}
 
 	sh := newExec(modeReplay)
-	for li, ref := range first.Loops {
-		want := parallel.ShardPlan{Count: k}
+	want := parallel.ShardPlan{Count: k}
+	for li, ref := range first {
 		covered := 0
-		for _, p := range ordered {
-			loop := p.Loops[li]
+		for i, loops := range shards {
+			loop := loops[li]
 			if loop.Label != ref.Label || loop.N != ref.N {
-				return nil, fmt.Errorf("experiments: partial %d/%d loop %d is %q (%d trials), first is %q (%d trials)",
-					p.Shard, p.Shards, li, loop.Label, loop.N, ref.Label, ref.N)
+				return nil, fmt.Errorf("experiments: shard %d/%d loop %d is %q (%d trials), shard 0 has %q (%d trials)",
+					i, k, li, loop.Label, loop.N, ref.Label, ref.N)
 			}
 			if loop.plan() != ref.plan() {
-				return nil, fmt.Errorf("experiments: partial %d/%d loop %q declares sub-trial plan %v, first declares %v",
-					p.Shard, p.Shards, loop.Label, loop.plan(), ref.plan())
+				return nil, fmt.Errorf("experiments: shard %d/%d loop %q declares sub-trial plan %v, shard 0 declares %v",
+					i, k, loop.Label, loop.plan(), ref.plan())
 			}
-			lo, hi := want.Range(loop.N, p.Shard)
+			lo, hi := want.Range(loop.N, i)
 			if loop.Lo != lo || len(loop.Trials) != hi-lo {
 				return nil, fmt.Errorf("experiments: loop %q shard %d/%d carries [%d,%d), plan assigns [%d,%d)",
-					loop.Label, p.Shard, p.Shards, loop.Lo, loop.Lo+len(loop.Trials), lo, hi)
+					loop.Label, i, k, loop.Lo, loop.Lo+len(loop.Trials), lo, hi)
 			}
-			// Shards sort ascending and ranges are contiguous, so this
-			// absorbs trials in exactly global trial-index order.
+			// Shards are in index order and ranges are contiguous, so
+			// this absorbs trials in exactly global trial-index order.
 			for ti := range loop.Trials {
 				em, err := decodeTrial(loop.Trials[ti])
 				if err != nil {
@@ -388,32 +319,33 @@ func MergeShards(parts []*Partial, workers int) (*Report, error) {
 		sh.plans[ref.Label] = ref.plan()
 	}
 
-	cfg := Config{Scale: first.Scale, Seed: first.Seed, Workers: workers, sh: sh}
+	cfg.sh = sh
 	rep, err := replayRun(r, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if rep == nil {
-		return nil, fmt.Errorf("experiments: %s produced no report on replay", first.Experiment)
+		return nil, fmt.Errorf("experiments: %s produced no report on replay", id)
 	}
 	for label := range sh.loops {
 		if !sh.replayed[label] {
-			return nil, fmt.Errorf("experiments: partials carry trial loop %q that %s never runs (stale partials from a different build?)",
-				label, first.Experiment)
+			return nil, fmt.Errorf("experiments: shards carry trial loop %q that %s never runs (stale partials from a different build?)",
+				label, id)
 		}
 	}
 	return rep, nil
 }
 
-// replayMismatch tags the replay-engine panics that mean "these
-// partials describe a different build of the experiment", so replayRun
+// replayMismatch tags the replay-engine panics that mean "these loop
+// records describe a different build of the experiment", so replayRun
 // can convert exactly those into errors while letting genuine bugs
 // crash loudly.
 type replayMismatch string
 
 // replayRun executes the experiment's finish phase over merged
 // collectors, converting structural-mismatch panics into errors: a
-// coordinator fed stale partial files must fail cleanly, not crash.
+// coordinator fed records from a different build must fail cleanly,
+// not crash.
 func replayRun(r Runner, cfg Config) (rep *Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -16,15 +16,11 @@ var subTrialExperiments = []string{"fig3-5", "fig3-6", "fig3-7", "fig3-8", "fig4
 // LoopPartial carries the declared Cells×Units plan and that the plan
 // multiplies out to the trial-range size.
 func TestSubTrialPlanTravelsOnWire(t *testing.T) {
-	cfg := Config{Scale: 0.1, Seed: 7}
-	p, err := RunShard("fig3-8", cfg, parallel.Shard{Index: 0, Count: 1})
-	if err != nil {
-		t.Fatalf("RunShard: %v", err)
+	loops := runShard(t, "fig3-8", Config{Scale: 0.1, Seed: 7}, parallel.Shard{Index: 0, Count: 1})
+	if len(loops) != 1 {
+		t.Fatalf("recorded %d loops, want 1", len(loops))
 	}
-	if len(p.Loops) != 1 {
-		t.Fatalf("recorded %d loops, want 1", len(p.Loops))
-	}
-	loop := p.Loops[0]
+	loop := loops[0]
 	// fig3-8 at scale 0.1: one environment × scaleInt(10,4)=4 traces,
 	// six protocols per cell.
 	if loop.Cells != 4 || loop.Units != 6 || loop.N != 24 {
@@ -33,33 +29,30 @@ func TestSubTrialPlanTravelsOnWire(t *testing.T) {
 }
 
 // TestMergeShardsRejectsSubPlanMismatch asserts the two plan guards: a
-// shard disagreeing with its peers on the plan, and a complete partial
+// shard disagreeing with its peers on the plan, and a complete shard
 // set whose plan does not match the decomposition the experiment
-// declares (stale partials from a build with a different split).
+// declares (stale records from a build with a different split).
 func TestMergeShardsRejectsSubPlanMismatch(t *testing.T) {
-	fixture := func() []*Partial {
-		var parts []*Partial
+	cfg := Config{Scale: 0.1, Seed: 7}
+	fixture := func() [][]*LoopPartial {
+		var shards [][]*LoopPartial
 		for _, shard := range parallel.NewShardPlan(2).Shards() {
-			p, err := RunShard("fig3-8", Config{Scale: 0.1, Seed: 7}, shard)
-			if err != nil {
-				t.Fatalf("RunShard %v: %v", shard, err)
-			}
-			parts = append(parts, p)
+			shards = append(shards, runShard(t, "fig3-8", cfg, shard))
 		}
-		return parts
+		return shards
 	}
 
 	disagree := fixture()
-	disagree[1].Loops[0].Cells, disagree[1].Loops[0].Units = 6, 4
-	if _, err := MergeShards(disagree, 0); err == nil || !strings.Contains(err.Error(), "sub-trial plan") {
+	disagree[1][0].Cells, disagree[1][0].Units = 6, 4
+	if _, err := MergeShards("fig3-8", cfg, disagree); err == nil || !strings.Contains(err.Error(), "sub-trial plan") {
 		t.Errorf("cross-shard plan disagreement accepted (err=%v)", err)
 	}
 
 	stale := fixture()
-	for _, p := range stale {
-		p.Loops[0].Cells, p.Loops[0].Units = 0, 0
+	for _, loops := range stale {
+		loops[0].Cells, loops[0].Units = 0, 0
 	}
-	if _, err := MergeShards(stale, 0); err == nil || !strings.Contains(err.Error(), "stale partials") {
+	if _, err := MergeShards("fig3-8", cfg, stale); err == nil || !strings.Contains(err.Error(), "stale partials") {
 		t.Errorf("plan-less partials for a sub-trial loop accepted (err=%v)", err)
 	}
 }
@@ -85,26 +78,23 @@ func TestSubTrialShardsSpread(t *testing.T) {
 			cfg := Config{Scale: 0.1, Seed: 42}
 			want := referenceReport(exp, cfg.Scale, cfg.Seed)
 
-			var parts []*Partial
+			var shards [][]*LoopPartial
 			busy := 0
 			for _, shard := range parallel.NewShardPlan(k).Shards() {
-				p, err := RunShard(id, cfg, shard)
-				if err != nil {
-					t.Fatalf("RunShard %v: %v", shard, err)
-				}
+				loops := runShard(t, id, cfg, shard)
 				trials := 0
-				for _, loop := range p.Loops {
+				for _, loop := range loops {
 					trials += len(loop.Trials)
 				}
 				if trials > 0 {
 					busy++
 				}
-				parts = append(parts, p)
+				shards = append(shards, loops)
 			}
 			if busy < 2 {
 				t.Fatalf("only %d of %d shards carried trials; the experiment does not spread", busy, k)
 			}
-			rep, err := MergeShards(parts, 0)
+			rep, err := MergeShards(id, cfg, shards)
 			if err != nil {
 				t.Fatalf("MergeShards: %v", err)
 			}

@@ -53,7 +53,7 @@ func NewBenchHarness(cfg Config, clients int) (*BenchHarness, error) {
 
 	j := 0
 	for bi := 0; bi < nbatches; bi++ {
-		b := newBatch(cfg.BatchSize, cfg.MaxPacket)
+		b := newBatch(cfg.BatchSize)
 		for b.n < cfg.BatchSize && j < total {
 			c := j % clients
 			moving := j < clients

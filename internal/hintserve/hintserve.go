@@ -58,6 +58,20 @@ var minWireLen = (&dot11.Frame{}).WireLen()
 // apAddr is the serving plane's own MAC: the source of every ACK.
 var apAddr = dot11.AddrFromInt(1)
 
+// maxPacket is the largest datagram accepted: a frame with MaxPayload.
+var maxPacket = minWireLen + dot11.MaxPayload
+
+// Each client's static-case adapter samples over adapterWindow, models
+// the airtime of adapterBytes packets and draws from a stream seeded by
+// adapterSeed, its shard and its admission order. The window must stay
+// small: the adapter's event ring is sized from it, and at ten thousand
+// clients the default simulation window would cost gigabytes.
+const (
+	adapterWindow = 50 * time.Millisecond
+	adapterBytes  = 1500
+	adapterSeed   = 1
+)
+
 // Config tunes the serving plane. The zero value is usable: every
 // field defaults sensibly (see withDefaults).
 type Config struct {
@@ -74,19 +88,6 @@ type Config struct {
 	// The reader blocks while a shard's fill batch is full — that is the
 	// backpressure bound.
 	BatchSize int
-	// MaxPacket is the largest datagram accepted; default fits a frame
-	// with MaxPayload.
-	MaxPacket int
-	// AdapterWindow is the sampling window given to each client's
-	// static-case adapter. The serving plane must keep this small: the
-	// adapter's event ring is sized from it, and at ten thousand clients
-	// the default simulation window would cost gigabytes. Default 50ms.
-	AdapterWindow time.Duration
-	// AdapterBytes is the packet size the adapter's airtime model
-	// assumes; default 1500.
-	AdapterBytes int
-	// Seed makes adapter randomness deterministic; default 1.
-	Seed int64
 	// OnSwitch, if set, is called from the owning shard whenever a
 	// client's movement state flips. It must be fast and must not
 	// retain the address past the call.
@@ -105,18 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.MaxPacket <= 0 {
-		c.MaxPacket = minWireLen + dot11.MaxPayload
-	}
-	if c.AdapterWindow <= 0 {
-		c.AdapterWindow = 50 * time.Millisecond
-	}
-	if c.AdapterBytes <= 0 {
-		c.AdapterBytes = 1500
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -142,7 +131,7 @@ type ackRef struct {
 	dst    netip.AddrPort
 }
 
-func newBatch(size, maxPacket int) *batch {
+func newBatch(size int) *batch {
 	return &batch{
 		maxPacket: maxPacket,
 		store:     make([]byte, size*maxPacket),
@@ -268,8 +257,8 @@ func newShard(id int, conn *net.UDPConn, cfg Config) *shard {
 		id:      id,
 		conn:    conn,
 		cfg:     cfg,
-		fill:    newBatch(cfg.BatchSize, cfg.MaxPacket),
-		spare:   newBatch(cfg.BatchSize, cfg.MaxPacket),
+		fill:    newBatch(cfg.BatchSize),
+		spare:   newBatch(cfg.BatchSize),
 		wake:    make(chan struct{}, 1),
 		table:   newClientTable(cfg.ClientsPerShard, cfg.IdleTimeout),
 		scratch: make([]hintproto.Hint, 0, 16),
@@ -282,9 +271,9 @@ func newShard(id int, conn *net.UDPConn, cfg Config) *shard {
 // client. Called once per table slot; recycled slots reuse the adapter.
 func (sh *shard) newAdapter() *rate.HintAware {
 	sh.seedCtr++
-	static := rate.NewSampleRate(sh.cfg.Seed + int64(sh.id)<<40 + sh.seedCtr)
-	static.Window = sh.cfg.AdapterWindow
-	static.PacketBytes = sh.cfg.AdapterBytes
+	static := rate.NewSampleRate(adapterSeed + int64(sh.id)<<40 + sh.seedCtr)
+	static.Window = adapterWindow
+	static.PacketBytes = adapterBytes
 	return rate.NewHintAwareWith(static, rate.NewRapidSample())
 }
 
@@ -508,7 +497,7 @@ func (s *Server) Close() error {
 
 // readLoop blocks on every read and routes each datagram to its shard.
 func (s *Server) readLoop() error {
-	rbuf := make([]byte, s.cfg.MaxPacket)
+	rbuf := make([]byte, maxPacket)
 	for {
 		n, src, err := s.conn.ReadFromUDPAddrPort(rbuf)
 		if err != nil {

@@ -272,13 +272,16 @@ func TestTableAdmitEvictReject(t *testing.T) {
 func TestServeEndToEnd(t *testing.T) {
 	srv, addr := startServer(t, Config{Shards: 4})
 	rep, err := RunLoad(LoadConfig{
-		Target:       addr,
-		Clients:      200,
-		Packets:      8000,
-		Senders:      4,
-		TogglePeriod: 16,
-		CorruptRatio: 0.05,
-		Timeout:      30 * time.Second,
+		Target:         addr,
+		Clients:        200,
+		Packets:        8000,
+		Senders:        4,
+		MovingRatio:    0.5,
+		TogglePeriod:   16,
+		TrailerRatio:   0.5,
+		HintFrameRatio: 0.05,
+		CorruptRatio:   0.05,
+		Timeout:        30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -346,11 +349,14 @@ func TestServeSurvivesVanishingClient(t *testing.T) {
 
 	// The plane must still serve a fresh, well-behaved herd.
 	rep, err := RunLoad(LoadConfig{
-		Target:  addr,
-		Clients: 50,
-		Packets: 2000,
-		Senders: 2,
-		Timeout: 30 * time.Second,
+		Target:         addr,
+		Clients:        50,
+		Packets:        2000,
+		Senders:        2,
+		MovingRatio:    0.5,
+		TrailerRatio:   0.5,
+		HintFrameRatio: 0.05,
+		Timeout:        30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,11 +381,14 @@ func TestFloodStaysBounded(t *testing.T) {
 		IdleTimeout:     time.Hour, // nothing goes idle during the test
 	})
 	rep, err := RunLoad(LoadConfig{
-		Target:  addr,
-		Clients: 1000,
-		Packets: 4000,
-		Senders: 2,
-		Timeout: 30 * time.Second,
+		Target:         addr,
+		Clients:        1000,
+		Packets:        4000,
+		Senders:        2,
+		MovingRatio:    0.5,
+		TrailerRatio:   0.5,
+		HintFrameRatio: 0.05,
+		Timeout:        30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

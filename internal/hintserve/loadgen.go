@@ -57,7 +57,9 @@ func stampRingSize(window int, perClient int64) int {
 	return n
 }
 
-// LoadConfig describes one load run. Zero values default sensibly.
+// LoadConfig describes one load run. Zero values default sensibly,
+// except the traffic-mix ratios and TogglePeriod, where zero means
+// none.
 type LoadConfig struct {
 	// Target is the serving plane's UDP address, e.g. "127.0.0.1:9999".
 	Target string
@@ -76,18 +78,19 @@ type LoadConfig struct {
 	// default 64, at most 65536 (a client's 16-bit sequence number must
 	// tell its frames in flight apart).
 	Window int
-	// MovingRatio is the fraction of clients that start moving;
-	// default 0.5.
+	// MovingRatio is the fraction of clients that start moving; 0 means
+	// none (hintload's -moving flag defaults to 0.5).
 	MovingRatio float64
 	// TogglePeriod is how many frames a client sends between movement
 	// flips; 0 disables toggling.
 	TogglePeriod int
 	// TrailerRatio is the probability a data frame carries a TLV hint
-	// trailer; default 0.5. Frames without a trailer still carry the
-	// movement header bit.
+	// trailer; 0 means none (hintload's -trailer flag defaults to 0.5).
+	// Frames without a trailer still carry the movement header bit.
 	TrailerRatio float64
 	// HintFrameRatio is the probability a standalone hint frame is sent
-	// alongside a data frame; default 0.05.
+	// alongside a data frame; 0 means none (hintload's -hint-frames flag
+	// defaults to 0.05).
 	HintFrameRatio float64
 	// CorruptRatio is the probability a data frame is sent with a
 	// deliberately broken FCS; default 0.
@@ -117,15 +120,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if c.MovingRatio == 0 {
-		c.MovingRatio = 0.5
-	}
-	if c.TrailerRatio == 0 {
-		c.TrailerRatio = 0.5
-	}
-	if c.HintFrameRatio == 0 {
-		c.HintFrameRatio = 0.05
 	}
 	if c.PayloadSize <= 0 {
 		c.PayloadSize = 64

@@ -135,12 +135,15 @@ func TestRunLoadMatchesEveryAck(t *testing.T) {
 	for _, c := range cases {
 		before := srv.Stats()
 		rep, err := RunLoad(LoadConfig{
-			Target:  addr,
-			Clients: c.clients,
-			Senders: 1,
-			Window:  c.window,
-			Packets: c.packets,
-			Timeout: 30 * time.Second,
+			Target:         addr,
+			Clients:        c.clients,
+			Senders:        1,
+			Window:         c.window,
+			Packets:        c.packets,
+			MovingRatio:    0.5,
+			TrailerRatio:   0.5,
+			HintFrameRatio: 0.05,
+			Timeout:        30 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -158,12 +161,31 @@ func TestRunLoadMatchesEveryAck(t *testing.T) {
 // promises, rather than falling back to some default period.
 func TestRunLoadZeroTogglePeriodNeverFlips(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 1})
-	rep, err := RunLoad(LoadConfig{Target: addr, Clients: 10, Packets: 2000, TogglePeriod: 0, Timeout: 30 * time.Second})
+	rep, err := RunLoad(LoadConfig{Target: addr, Clients: 10, Packets: 2000, MovingRatio: 0.5, TogglePeriod: 0,
+		TrailerRatio: 0.5, HintFrameRatio: 0.05, Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.DataSent == 0 || rep.Toggles != 0 {
 		t.Fatalf("TogglePeriod 0 sent %d data frames with %d movement flips, want some frames and no flips: %s",
 			rep.DataSent, rep.Toggles, rep)
+	}
+}
+
+// TestRunLoadZeroRatiosSendNoHints pins the zero value of the three
+// traffic-mix ratios as none, like TogglePeriod's, so hintload's
+// "-moving 0 -trailer 0 -hint-frames 0" asks for a herd that never
+// moves and sends no hint: no standalone hint frame leaves the
+// generator, and the plane ingests no hint and sees no movement switch.
+func TestRunLoadZeroRatiosSendNoHints(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 1})
+	rep, err := RunLoad(LoadConfig{Target: addr, Clients: 10, Packets: 2000, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if rep.DataSent == 0 || rep.HintSent != 0 || st.Switches != 0 || st.Hints != 0 {
+		t.Fatalf("zero ratios sent %d data and %d hint frames; the plane saw %d switches and %d hints, want data only: %s",
+			rep.DataSent, rep.HintSent, st.Switches, st.Hints, rep)
 	}
 }
