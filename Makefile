@@ -252,13 +252,12 @@ status-smoke:
 	[ ! -e "$$tmp/reports/job4-fig2-2.out" ] || { echo "cancelled job wrote a report"; exit 1; }; \
 	echo "status-smoke: live scrape, HTTP submit and cancel took effect, reports bit-identical to hintbench"
 
-# Intra-trial sharding smoke: fig3-7 — a formerly single-trial-bound
-# experiment whose trial space is now a sub-trial grid of
-# protocol×env×repetition cells — runs as 4 shards over a real
-# TCP-loopback fleet of 3 worker processes, and the merged report must
-# be byte-identical to the single-process hintbench run. The Go-level
-# version of this check (dispatch spread, mid-sub-trial worker kill,
-# every sub-trial experiment) is internal/cluster's subtrial tests.
+# Heavy-experiment sharding smoke: fig3-7, one trial per env×trace
+# cell, runs as 4 shards over a real TCP-loopback fleet of 3 worker
+# processes, and the merged report must be byte-identical to the
+# single-process hintbench run. The Go-level version of this check
+# (dispatch spread, mid-shard worker kill, every heavy experiment) is
+# internal/cluster's subtrial tests.
 subtrial-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/hintshard" ./cmd/hintshard || exit 1; \

@@ -154,12 +154,12 @@ func BenchmarkParallelFig3_8_Rate(b *testing.B) {
 	}
 }
 
-// --- fleet benchmarks: intra-trial sharding across a cluster ---
+// --- fleet benchmarks: heavy experiments across a cluster ---
 //
 // The BenchmarkFleet* family measures figure-level wall clock for the
-// formerly single-trial-bound experiments: workers=1 is the plain
-// serial run, workers=N dispatches N shards of the sub-trial grid to an
-// N-worker in-process fleet. benchjson derives the fleet speedups from
+// heavy experiments: workers=1 is the plain serial run, workers=N
+// dispatches N shards of the experiment's trial loops to an N-worker
+// in-process fleet. benchjson derives the fleet speedups from
 // the workers=N sub-benchmarks exactly as for the BenchmarkParallel*
 // family; BENCH_figures.json records them.
 

@@ -58,8 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// A non-finite scale would run every experiment at its minimum
 	// sizes (scaleInt clamps the garbage product) and pass its checks,
-	// so it is refused, as hintshard's job specs refuse it.
-	if !(math.Abs(*scale) <= math.MaxFloat64) {
+	// and a zero or negative one silently at paper scale, so both are
+	// refused, as hintshard's jobs refuse them.
+	if !(*scale > 0 && *scale <= math.MaxFloat64) {
 		fmt.Fprintf(stderr, "invalid scale %g\n", *scale)
 		return 2
 	}

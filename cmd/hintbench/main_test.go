@@ -9,10 +9,11 @@ import (
 )
 
 // TestNonFiniteScaleRefused: a NaN or infinite -scale would run every
-// experiment at its minimum sizes and pass its checks, so it is a usage
+// experiment at its minimum sizes and pass its checks, and a zero or
+// negative one would silently run at paper scale, so each is a usage
 // error (exit 2) that runs nothing.
 func TestNonFiniteScaleRefused(t *testing.T) {
-	for _, scale := range []string{"NaN", "+Inf", "-Inf"} {
+	for _, scale := range []string{"NaN", "+Inf", "-Inf", "0", "-1"} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-scale", scale, "-seed", "42", "fig3-1"}, &stdout, &stderr)
 		if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "invalid scale") {

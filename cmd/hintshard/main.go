@@ -14,8 +14,8 @@
 //	not a static assignment); workers take shards as they free up,
 //	steal from stragglers, and re-run shards lost to dead workers. The
 //	jobs queue through one warm fleet: workers stay connected across
-//	assignments with their phy tables pre-built (the prepare step),
-//	shards of consecutive jobs interleave so stragglers overlap the
+//	assignments, so the phy tables a worker builds stay cached for the
+//	next job, shards of consecutive jobs interleave so stragglers overlap the
 //	next job's start, and each report prints in submission order the
 //	moment its last shard merges — byte-identical to the standalone
 //	hintbench output. -verify F re-executes a deterministic sample of
@@ -158,10 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			line := fmt.Sprintf("%-12s %s", e.ID, e.Desc)
 			if len(e.Tags) > 0 {
 				line += "  [" + strings.Join(e.Tags, ",") + "]"
-			}
-			if e.Plan != nil {
-				p := e.Plan(experiments.Config{Scale: o.scale})
-				line += fmt.Sprintf("  plan=%dx%d", p.Cells, p.Units)
 			}
 			fmt.Fprintln(o.stdout, line)
 		}

@@ -72,6 +72,8 @@ func TestFlagValidation(t *testing.T) {
 		{"run with job-spec arguments", []string{"-run", "fig2-2", "-shards", "2", "fig3-1"}, "flag provided but not defined: -run"},
 		{"run unknown experiment", []string{"-shards", "2", "no-such"}, "unknown experiment"},
 		{"run non-finite scale", []string{"-shards", "2", "-scale", "NaN", "fig2-2"}, "invalid scale"},
+		{"run zero scale", []string{"-shards", "1", "-scale", "0", "fig2-2"}, "invalid scale 0"},
+		{"run negative scale", []string{"-shards", "1", "-scale", "-1", "fig2-2"}, "invalid scale -1"},
 		{"run flag removed", []string{"-run", "fig2-2", "-shards", "2"}, "flag provided but not defined: -run"},
 		{"campaign flag removed", []string{"-campaign", "fig2-2"}, "flag provided but not defined: -campaign"},
 		{"verify without campaign", []string{"-connect", "h:1", "-verify", "0.5"}, "coordinator flag"},
@@ -96,6 +98,9 @@ func TestFlagValidation(t *testing.T) {
 			code := run(c.args, &stdout, &stderr)
 			if code != 2 {
 				t.Errorf("exit code %d, want 2\nstderr: %s", code, stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("a refused invocation printed %q", stdout.String())
 			}
 			if !strings.Contains(stderr.String(), c.want) {
 				t.Errorf("stderr %q does not mention %q", stderr.String(), c.want)

@@ -3,10 +3,8 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -197,8 +195,8 @@ func TestCampaignWithWorkerKilledMidCampaign(t *testing.T) {
 
 // TestCampaignSubTrialJobsSurviveWorkerDeath: a campaign of two heavy
 // experiments (one trace-grid runner, one per-curve tracker loop) with
-// a worker dying on its second assignment — mid-sub-trial from the
-// campaign's point of view. The requeued chunk must regenerate its
+// a worker dying on its second assignment — mid-shard from the
+// campaign's point of view. The requeued shard must regenerate its
 // traces and replay to byte-identical reports.
 func TestCampaignSubTrialJobsSurviveWorkerDeath(t *testing.T) {
 	if testing.Short() {
@@ -215,19 +213,19 @@ func TestCampaignSubTrialJobsSurviveWorkerDeath(t *testing.T) {
 	tr := startTransport(t, "inproc", 3, true)
 	results, stats, err := Run(tr, jobs, Options{ShardWorkers: 1, Retries: 3})
 	if err != nil {
-		t.Fatalf("sub-trial campaign with killed worker: %v", err)
+		t.Fatalf("heavy campaign with killed worker: %v", err)
 	}
 	for ji, res := range results {
 		if got := res.Report.String(); got != bases[ji] {
-			t.Errorf("job %d (%s) differs after mid-sub-trial kill:\n--- standalone ---\n%s\n--- campaign ---\n%s",
+			t.Errorf("job %d (%s) differs after mid-shard kill:\n--- standalone ---\n%s\n--- campaign ---\n%s",
 				ji, res.Job.Experiment, bases[ji], got)
 		}
 	}
 	if stats.Requeued+stats.Stolen < 1 {
-		t.Errorf("killed worker's sub-trial chunk was neither requeued nor stolen (stats %+v)", stats)
+		t.Errorf("killed worker's shard was neither requeued nor stolen (stats %+v)", stats)
 	}
 	if stats.Assigned < 2 {
-		t.Errorf("campaign dispatched only %d assignments; sub-trial shards are not spreading", stats.Assigned)
+		t.Errorf("campaign dispatched only %d assignments; shards are not spreading", stats.Assigned)
 	}
 }
 
@@ -289,8 +287,6 @@ func corruptOnceServe(c cluster.Conn, corrupted *bool) {
 		switch a := m.(type) {
 		case *cluster.Stop:
 			return
-		case *cluster.Prepare:
-			// ignore: warming is advisory
 		case *cluster.Assign:
 			loops, err := runShard(a)
 			if err != nil {
@@ -405,74 +401,10 @@ func TestRunValidatesJobs(t *testing.T) {
 	if _, _, err := Run(tr, []Job{{Experiment: "no-such", Shards: 2}}, Options{}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("unknown experiment accepted: %v", err)
 	}
-	if _, _, err := Run(tr, []Job{{Experiment: "fig2-2"}}, Options{}); err == nil || !strings.Contains(err.Error(), "no shard count") {
+	if _, _, err := Run(tr, []Job{{Experiment: "fig2-2", Scale: 0.1}}, Options{}); err == nil || !strings.Contains(err.Error(), "no shard count") {
 		t.Errorf("zero shard count accepted: %v", err)
 	}
 	if _, _, err := Run(tr, []Job{{Experiment: "fig2-2", Shards: 1}}, Options{Verify: 1.5}); err == nil || !strings.Contains(err.Error(), "verification fraction") {
 		t.Errorf("out-of-range verification fraction accepted: %v", err)
-	}
-}
-
-// recordPrepareServe is an honest worker that additionally records the
-// frame list of every Prepare it receives.
-func recordPrepareServe(c cluster.Conn, name string, record func([]int)) {
-	if err := cluster.Handshake(c, name, ""); err != nil {
-		return
-	}
-	for {
-		m, err := c.Recv()
-		if err != nil {
-			return
-		}
-		switch a := m.(type) {
-		case *cluster.Stop:
-			return
-		case *cluster.Prepare:
-			record(append([]int(nil), a.Frames...))
-		case *cluster.Assign:
-			loops, err := runShard(a)
-			if err != nil {
-				c.Send(&cluster.ShardError{Job: a.Job, Shard: a.Shard, Msg: err.Error()})
-				continue
-			}
-			for _, lp := range loops {
-				if err := c.Send(&cluster.LoopResult{Job: a.Job, Shard: a.Shard, Loop: lp}); err != nil {
-					return
-				}
-			}
-			if err := c.Send(&cluster.ShardDone{Job: a.Job, Shard: a.Shard}); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// TestCampaignDerivesWarmFrames: the prepare list every worker
-// receives is derived from the campaign's own experiments
-// (experiments.FrameSizes over the job list), not a fixed guess.
-func TestCampaignDerivesWarmFrames(t *testing.T) {
-	jobs := []Job{{Experiment: "fig2-2", Scale: 0.1, Seed: 1, Shards: 2}}
-	var mu sync.Mutex
-	var prepares [][]int
-	tr := cluster.NewInProcess(2, func(i int, c cluster.Conn) {
-		recordPrepareServe(c, fmt.Sprintf("warm%d", i), func(frames []int) {
-			mu.Lock()
-			prepares = append(prepares, frames)
-			mu.Unlock()
-		})
-	})
-	if _, _, err := Run(tr, jobs, Options{ShardWorkers: 1}); err != nil {
-		t.Fatalf("campaign run: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(prepares) != 2 {
-		t.Fatalf("recorded %d prepare messages, want one per worker (2)", len(prepares))
-	}
-	want := experiments.FrameSizes("fig2-2")
-	for i, frames := range prepares {
-		if !reflect.DeepEqual(frames, want) {
-			t.Errorf("worker %d warmed %v, want the derived list %v", i, frames, want)
-		}
 	}
 }

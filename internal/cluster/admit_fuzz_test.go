@@ -11,9 +11,10 @@ import (
 // FuzzAdmit feeds arbitrary job spec text through the coordinator's
 // front door, cluster.ParseJob, which ends with admission's own check,
 // and asserts that nothing panics and that every job it accepts names a
-// registered experiment, has a finite scale (so its Assign encodes) and
-// asks for 1 to MaxShards shards, so admitting it sizes per-shard state
-// within the cap.
+// registered experiment, has a positive finite scale (so its Assign
+// encodes and it does not silently run at paper scale) and asks for 1
+// to MaxShards shards, so admitting it sizes per-shard state within the
+// cap.
 func FuzzAdmit(f *testing.F) {
 	for _, spec := range []string{
 		"fig4-6",
@@ -23,6 +24,8 @@ func FuzzAdmit(f *testing.F) {
 		"fig2-2:shards=4097",
 		"fig3-1:shards=0",
 		"fig3-1:scale=NaN",
+		"fig3-1:scale=0",
+		"fig3-1:scale=-1",
 		"no-such:shards=2",
 		":::",
 		"",
@@ -38,7 +41,7 @@ func FuzzAdmit(f *testing.F) {
 		if _, ok := experiments.ByID(j.Experiment); !ok {
 			t.Fatalf("admitted %q: unknown experiment %q", spec, j.Experiment)
 		}
-		if math.IsNaN(j.Scale) || math.IsInf(j.Scale, 0) {
+		if !(j.Scale > 0 && j.Scale <= math.MaxFloat64) {
 			t.Fatalf("admitted %q with scale %g", spec, j.Scale)
 		}
 		if j.Shards < 1 || j.Shards > cluster.MaxShards {

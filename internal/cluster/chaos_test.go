@@ -164,9 +164,9 @@ func TestChaosCampaignPartitionHealedByReconnect(t *testing.T) {
 		bases[ji] = referenceReport(t, j.Experiment, j.Scale, j.Seed)
 	}
 
-	// The campaign's conns carry few frames (challenge, prepare, a
-	// handful of assigns, stop), so the partition threshold sits right
-	// past the handshake exemption to guarantee it actually fires.
+	// The campaign's conns carry few frames (challenge, a handful of
+	// assigns, stop), so the partition threshold sits right past the
+	// handshake exemption to guarantee it actually fires.
 	plan := &FaultPlan{Seed: 3, PartitionAfter: 4, Conns: 2, MaxKills: 2}
 	lt, err := ListenTCP("127.0.0.1:0")
 	if err != nil {

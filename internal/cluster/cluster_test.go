@@ -75,8 +75,7 @@ func runOne(tr Transport, j Job, o Options) (*experiments.Report, RunStats, erro
 }
 
 // recvAssign reads a hand-rolled worker's conn up to its next
-// assignment, skipping the warm-up Prepare every worker is sent and
-// answering heartbeats on the way.
+// assignment, answering heartbeats on the way.
 func recvAssign(c Conn) (*Assign, error) {
 	for {
 		m, err := c.Recv()
@@ -88,7 +87,6 @@ func recvAssign(c Conn) (*Assign, error) {
 			return m, nil
 		case *Ping:
 			c.Send(&Pong{Seq: m.Seq})
-		case *Prepare:
 		default:
 			return nil, fmt.Errorf("got %T, want an assignment", m)
 		}
@@ -135,12 +133,13 @@ func TestRunRefusesShardsAboveCap(t *testing.T) {
 	}
 }
 
-// TestRunRefusesNonFiniteScale: a job whose scale is NaN or ±Inf is
-// refused at admission with an error naming the scale. Admitted, its
-// Assign could not be JSON-encoded, and the coordinator would report
-// its own healthy worker as dead.
+// TestRunRefusesNonFiniteScale: a job whose scale is NaN, ±Inf, zero
+// or negative is refused at admission with an error naming the scale.
+// Admitted, a non-finite scale's Assign could not be JSON-encoded, and
+// the coordinator would report its own healthy worker as dead; a zero
+// or negative one would silently run at paper scale.
 func TestRunRefusesNonFiniteScale(t *testing.T) {
-	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
 		var assigned atomic.Bool
 		served := make(chan struct{})
 		tr := NewInProcess(1, func(i int, c Conn) {
@@ -252,7 +251,7 @@ func TestProtocolViolatorDroppedRunCompletes(t *testing.T) {
 // all made before any worker is contacted.
 func TestRunValidatesOptions(t *testing.T) {
 	tr := NewInProcess(0, nil)
-	good := Job{Experiment: "fig2-2", Shards: 1}
+	good := Job{Experiment: "fig2-2", Scale: 0.1, Shards: 1}
 	for _, c := range []struct {
 		name string
 		jobs []Job
@@ -262,7 +261,7 @@ func TestRunValidatesOptions(t *testing.T) {
 		{"no jobs", nil, Options{}, "no jobs"},
 		{"empty experiment", []Job{{Shards: 1}}, Options{}, "unknown experiment"},
 		{"unknown experiment", []Job{good, {Experiment: "no-such", Shards: 2}}, Options{}, "job 1 names unknown experiment"},
-		{"zero shards", []Job{{Experiment: "fig2-2"}}, Options{}, "no shard count"},
+		{"zero shards", []Job{{Experiment: "fig2-2", Scale: 0.1}}, Options{}, "no shard count"},
 		{"verify above 1", []Job{good}, Options{Verify: 1.5}, "verification fraction"},
 		{"verify NaN", []Job{good}, Options{Verify: math.NaN()}, "verification fraction"},
 	} {

@@ -43,10 +43,10 @@ func ParseJob(spec string, def Job) (Job, error) {
 		}
 		switch key {
 		case "scale":
+			// checkJob below refuses a parsed value that is not positive
+			// and finite.
 			f, err := strconv.ParseFloat(val, 64)
-			// Negated form so NaN (for which every comparison is false)
-			// is rejected too.
-			if err != nil || !(f > 0 && f <= math.MaxFloat64) {
+			if err != nil {
 				return Job{}, fmt.Errorf("cluster: job spec %q: invalid scale %q", spec, val)
 			}
 			j.Scale = f
@@ -101,17 +101,20 @@ func ReadJobs(r io.Reader, def Job) ([]Job, error) {
 }
 
 // checkJob is the one rule every job passes, typed as a spec, given to
-// Run or submitted through a Control: a registered experiment, a finite
-// scale and 1 ≤ Shards ≤ MaxShards, so admitting a job never sizes
-// per-shard state beyond the cap and every Assign it dispatches can be
-// encoded (JSON has no NaN or ±Inf). A non-finite scale would otherwise
-// run every experiment at its minimum sizes, since scaleInt clamps the
-// garbage product. The error completes "job N".
+// Run or submitted through a Control: a registered experiment, a
+// positive finite scale and 1 ≤ Shards ≤ MaxShards, so admitting a job
+// never sizes per-shard state beyond the cap and every Assign it
+// dispatches can be encoded (JSON has no NaN or ±Inf). A non-finite
+// scale would otherwise run every experiment at its minimum sizes,
+// since scaleInt clamps the garbage product, and a zero or negative one
+// at paper scale. The error completes "job N".
 func checkJob(j Job) error {
 	if _, ok := experiments.ByID(j.Experiment); !ok {
 		return fmt.Errorf("names unknown experiment %q", j.Experiment)
 	}
-	if !(math.Abs(j.Scale) <= math.MaxFloat64) {
+	// Negated form so NaN (for which every comparison is false) is
+	// refused too.
+	if !(j.Scale > 0 && j.Scale <= math.MaxFloat64) {
 		return fmt.Errorf("(%s) has invalid scale %g", j.Experiment, j.Scale)
 	}
 	if j.Shards < 1 {

@@ -36,6 +36,7 @@ func TestParseJob(t *testing.T) {
 		{"no-such-exp", "unknown experiment"},
 		{"fig3-1:scale", "malformed option"},
 		{"fig3-1:scale=0", "invalid scale"},
+		{"fig3-1:scale=-1", "invalid scale"},
 		{"fig2-2:scale=NaN", "invalid scale"},
 		{"fig2-2:scale=Inf", "invalid scale"},
 		{"fig2-2:scale=-Inf", "invalid scale"},
@@ -54,9 +55,9 @@ func TestParseJob(t *testing.T) {
 	if _, err := ParseJob("fig3-1", Job{Scale: 1, Seed: 42}); err == nil || !strings.Contains(err.Error(), "no shard count") {
 		t.Errorf("spec without any shard count accepted: %v", err)
 	}
-	// A non-finite -scale default is refused like a bad scale= option;
-	// an explicit option overrides it.
-	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// A -scale default that is not positive and finite is refused like a
+	// bad scale= option; an explicit option overrides it.
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
 		if _, err := ParseJob("fig3-1", Job{Scale: scale, Seed: 42, Shards: 4}); err == nil || !strings.Contains(err.Error(), "invalid scale") {
 			t.Errorf("default scale %g accepted: %v", scale, err)
 		}

@@ -36,15 +36,16 @@ import (
 // coordinator opens with a challenge (nonce + heartbeat parameters),
 // the hello answers it with an HMAC over the shared token, frames carry
 // a rolling CRC32C trailer, and ping/pong heartbeats keep liveness
-// observable between assignments.
-const ProtoVersion = 3
+// observable between assignments. Version 4 dropped the loop record's
+// sub-trial plan (cells, units) and the prepare message: workers build
+// their phy tables on first use.
+const ProtoVersion = 4
 
 // Message kinds (the first payload byte of every frame).
 const (
 	kindChallenge = 'C' // coordinator → worker: version + auth nonce + heartbeat params, first frame of every conn
 	kindHello     = 'H' // worker → coordinator: version + name + challenge MAC, sent once in answer
 	kindReject    = 'R' // coordinator → worker: session refused (bad MAC, handshake timeout); conn closes after
-	kindPrepare   = 'P' // coordinator → worker: pre-build LUTs before the first assignment
 	kindAssign    = 'A' // coordinator → worker: run shard k/K of a job's experiment
 	kindLoop      = 'L' // worker → coordinator: one completed trial loop of the current shard
 	kindShardDone = 'D' // worker → coordinator: current shard finished, all loops streamed
@@ -120,18 +121,6 @@ func verifyHello(token, nonce string, h *Hello) bool {
 	return hmac.Equal([]byte(h.MAC), []byte(helloMAC(token, nonce, h.Name)))
 }
 
-// Prepare is the warm-worker step of a run: sent right after the
-// hello, before the first assignment, it names the frame lengths whose
-// phy tables (SNR→PER curves, airtime costs) the worker should build
-// now. The tables live in process-global caches, so one prepare warms
-// every assignment the worker will run; without it each
-// first-touch trial pays the LUT construction inside its hot loop.
-// Prepare is advisory — a worker that ignores it is merely slower.
-type Prepare struct {
-	// Frames lists payload lengths in bytes.
-	Frames []int `json:"frames"`
-}
-
 // Assign hands one shard of one job to a worker. Job is the index of
 // the job the shard belongs to; every reply about the shard echoes it,
 // so one worker can interleave shards of different experiments within
@@ -177,7 +166,6 @@ type Stop struct{}
 func (*Challenge) kind() byte  { return kindChallenge }
 func (*Hello) kind() byte      { return kindHello }
 func (*Reject) kind() byte     { return kindReject }
-func (*Prepare) kind() byte    { return kindPrepare }
 func (*Assign) kind() byte     { return kindAssign }
 func (*LoopResult) kind() byte { return kindLoop }
 func (*ShardDone) kind() byte  { return kindShardDone }
@@ -226,17 +214,6 @@ func DecodeMessage(payload []byte) (Message, error) {
 		}
 		if m.Version != ProtoVersion {
 			return nil, fmt.Errorf("cluster: protocol version %d, want %d", m.Version, ProtoVersion)
-		}
-		return &m, nil
-	case kindPrepare:
-		var m Prepare
-		if err := json.Unmarshal(body, &m); err != nil {
-			return nil, fmt.Errorf("cluster: decoding prepare: %w", err)
-		}
-		for _, f := range m.Frames {
-			if f <= 0 {
-				return nil, fmt.Errorf("cluster: prepare names non-positive frame length %d", f)
-			}
 		}
 		return &m, nil
 	case kindAssign:

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -21,7 +22,6 @@ func TestMessageRoundTrip(t *testing.T) {
 		&Reject{Reason: "authentication failed"},
 		&Ping{Seq: 7},
 		&Pong{Seq: 7},
-		&Prepare{Frames: []int{1000, 1500}},
 		&Assign{Job: 2, Experiment: "fig3-1", Seed: 42, Scale: 0.5, Workers: 2, Shard: 3, Shards: 7},
 		&LoopResult{Job: 2, Shard: 3, Loop: &experiments.LoopPartial{Label: "x", N: 10, Lo: 4}},
 		&ShardDone{Job: 2, Shard: 3},
@@ -44,6 +44,10 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 func TestDecodeMessageRejectsMalformed(t *testing.T) {
+	challenge := func(fields string) []byte {
+		return []byte(fmt.Sprintf(`C{"version":%d,"nonce":"n",%s}`, ProtoVersion, fields))
+	}
+	v3 := fmt.Sprintf("protocol version 3, want %d", ProtoVersion)
 	cases := []struct {
 		name string
 		in   []byte
@@ -53,9 +57,11 @@ func TestDecodeMessageRejectsMalformed(t *testing.T) {
 		{"unknown kind", []byte("Z{}"), "unknown message kind"},
 		{"broken json", []byte("H{not json"), "decoding hello"},
 		{"wrong version", []byte(`H{"version":99,"name":"w"}`), "protocol version"},
+		{"hello version 3", []byte(`H{"version":3,"name":"w"}`), v3},
 		{"challenge wrong version", []byte(`C{"version":2,"nonce":"n"}`), "protocol version"},
-		{"challenge negative ping", []byte(`C{"version":3,"nonce":"n","ping_ms":-1}`), "negative heartbeat"},
-		{"challenge negative cutoff", []byte(`C{"version":3,"nonce":"n","cutoff_ms":-5}`), "negative heartbeat"},
+		{"challenge version 3", []byte(`C{"version":3,"nonce":"n"}`), v3},
+		{"challenge negative ping", challenge(`"ping_ms":-1`), "negative heartbeat"},
+		{"challenge negative cutoff", challenge(`"cutoff_ms":-5`), "negative heartbeat"},
 		{"assign no experiment", []byte(`A{"seed":1,"shard":0,"shards":1}`), "names no experiment"},
 		{"assign bad shard", []byte(`A{"experiment":"x","shard":5,"shards":2}`), "invalid shard"},
 		{"assign negative job", []byte(`A{"job":-1,"experiment":"x","shard":0,"shards":1}`), "negative job"},
@@ -65,7 +71,7 @@ func TestDecodeMessageRejectsMalformed(t *testing.T) {
 		{"done negative shard", []byte(`D{"shard":-2}`), "negative shard"},
 		{"done negative job", []byte(`D{"job":-1,"shard":0}`), "negative job"},
 		{"error negative job", []byte(`E{"job":-1,"shard":0}`), "negative job"},
-		{"prepare zero frame", []byte(`P{"frames":[1000,0]}`), "non-positive frame"},
+		{"prepare is an unknown kind", []byte(`P{"frames":[1000]}`), "unknown message kind"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -88,7 +94,6 @@ func FuzzDecodeMessage(f *testing.F) {
 		&Challenge{Version: ProtoVersion, Nonce: "n0", PingMs: 2000, CutoffMs: 30000},
 		&Hello{Version: ProtoVersion, Name: "w", MAC: helloMAC("", "n0", "w")},
 		&Reject{Reason: "nope"},
-		&Prepare{Frames: []int{1000}},
 		&Assign{Job: 1, Experiment: "fig3-1", Shard: 0, Shards: 1},
 		&LoopResult{Job: 1, Shard: 0, Loop: &experiments.LoopPartial{Label: "l", N: 1}},
 		&ShardDone{}, &ShardError{Msg: "x"}, &Stop{},
@@ -100,6 +105,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("A"))
+	f.Add([]byte(`P{"frames":[1000]}`)) // a protocol v3 prepare
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)
 		if err != nil {

@@ -125,7 +125,6 @@ type scheduler struct {
 	o                  Options
 	logf               func(format string, args ...any)
 	hbInterval, cutoff time.Duration // both 0 when heartbeats are off
-	prepare            *Prepare
 	startedAt, now     time.Time
 	states             []*jobState
 	results            []Result
@@ -159,19 +158,12 @@ func newScheduler(jobs []Job, o Options, now time.Time) (*scheduler, error) {
 		s.hbInterval, s.cutoff = interval, interval*time.Duration(misses)
 		s.nextTick = now.Add(interval)
 	}
-	ids := make([]string, len(jobs))
 	for ji, j := range jobs {
 		if _, err := s.admit(j); err != nil {
 			return nil, err
 		}
 		s.results[ji].Job = j
-		ids[ji] = j.Experiment
 	}
-	// Every worker is told right after its hello to build the phy tables
-	// the initial jobs will read, once, before the first assignment's
-	// trial fan-out would race to build them; they stay cached across
-	// every assignment of the run. Jobs submitted later warm lazily.
-	s.prepare = &Prepare{Frames: experiments.FrameSizes(ids...)}
 	return s, nil
 }
 
@@ -278,7 +270,6 @@ func (s *scheduler) recv(now time.Time, id int, msg Message) {
 		w.name = m.Name
 		s.stats.Workers++
 		s.logf("cluster: worker %s connected", w.name)
-		s.send(w, s.prepare)
 		s.dispatch(w)
 	case *Pong:
 		// Liveness answer; lastSeen is already refreshed above.

@@ -170,7 +170,7 @@ func simLoops(job, shard int, lie bool) []*experiments.LoopPartial {
 	for i := range out {
 		out[i] = &experiments.LoopPartial{Label: fmt.Sprint("loop", i), N: job, Lo: shard}
 		if lie {
-			out[i].Units = 1
+			out[i].Lo = -1
 		}
 	}
 	return out
@@ -488,7 +488,7 @@ func (r *simRun) work(w *simWorker, a *Assign, verify bool) {
 	case simReHello:
 		later(d/2, func() { r.send(w, &Hello{Version: ProtoVersion, Name: w.name}) })
 	case simOddMessage:
-		later(d/2, func() { r.send(w, &Prepare{}) })
+		later(d/2, func() { r.send(w, &Stop{}) })
 	default:
 		later(d, func() { r.finish(w, a, fault == simLiar && verify) })
 	}
@@ -537,7 +537,7 @@ func (r *simRun) completed(w *simWorker) {
 	t, j := w.hold, r.jobs[w.hold.job]
 	switch {
 	case j.cancelled:
-	case t.verify && len(w.streamed) > 0 && w.streamed[0].Units != 0:
+	case t.verify && len(w.streamed) > 0 && w.streamed[0].Lo < 0:
 		r.lied = true
 	case t.verify:
 		if !j.resolved[t.shard] {

@@ -2,20 +2,18 @@ package cluster
 
 import "testing"
 
-// subTrialExperiments are the heavy runners that used to pin a whole
-// trial (or the whole experiment) to one worker. fig3's trial spaces
-// are now Cells×Units sub-trial grids, and fig4's timeline figures are
-// plain loops of one trial per curve (four each), so all of them
-// genuinely spread across a fleet. The generic golden tests already
-// sweep them as part of the registry; the tests here pin real
-// multi-shard dispatch on a four-worker fleet, and byte-identity
-// surviving a worker killed while holding one shard of them.
+// subTrialExperiments are the heavy runners: fig3's comparisons run one
+// trial per (environment, trace) cell (twelve each at scale 0.1), and
+// fig4's timeline figures one trial per curve (four each), so all of
+// them spread across a fleet. The generic golden tests already sweep
+// them as part of the registry; the tests here pin real multi-shard
+// dispatch on a four-worker fleet, and byte-identity surviving a worker
+// killed while holding one shard of them.
 var subTrialExperiments = []string{"fig3-5", "fig3-6", "fig3-7", "fig4-4", "fig4-5", "fig4-6"}
 
-// TestSubTrialExperimentsSpreadAcrossFleet: each restructured heavy
-// experiment, run over a four-worker in-process fleet with four shards,
-// must dispatch more than one shard (the fleet actually divides the
-// former single trial) and still reproduce the single-process report
+// TestSubTrialExperimentsSpreadAcrossFleet: each heavy experiment, run
+// over a four-worker in-process fleet with four shards, must dispatch
+// more than one shard and still reproduce the single-process report
 // byte for byte.
 func TestSubTrialExperimentsSpreadAcrossFleet(t *testing.T) {
 	if testing.Short() {
@@ -31,17 +29,17 @@ func TestSubTrialExperimentsSpreadAcrossFleet(t *testing.T) {
 				t.Errorf("report differs from single-process run on a 4-worker fleet:\n--- single ---\n%s\n--- cluster ---\n%s", base, got)
 			}
 			if stats.Assigned < 2 {
-				t.Errorf("%s dispatched %d shard assignments on a 4-worker fleet; the sub-trial plan is not spreading", id, stats.Assigned)
+				t.Errorf("%s dispatched %d shard assignments on a 4-worker fleet; its trials are not spreading", id, stats.Assigned)
 			}
 		})
 	}
 }
 
 // TestSubTrialReportsIdenticalWithWorkerKilledMidSubTrial: a worker
-// dies holding a sub-trial chunk (assignment received, never answered)
-// on every transport; the chunk is re-dispatched and the report must
-// not drift by a byte — the regenerate-and-replay recovery path costs
-// wall clock only.
+// dies holding one shard of a heavy experiment (assignment received,
+// never answered) on every transport; the shard is re-dispatched and
+// the report must not drift by a byte — the regenerate-and-replay
+// recovery path costs wall clock only.
 func TestSubTrialReportsIdenticalWithWorkerKilledMidSubTrial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -60,11 +58,11 @@ func TestSubTrialReportsIdenticalWithWorkerKilledMidSubTrial(t *testing.T) {
 			for _, transport := range transports {
 				rep, stats := clusterRun(t, transport, id, 4, 4, true)
 				if got := rep.String(); got != base {
-					t.Errorf("report differs after mid-sub-trial kill via %s:\n--- single ---\n%s\n--- cluster ---\n%s",
+					t.Errorf("report differs after mid-shard kill via %s:\n--- single ---\n%s\n--- cluster ---\n%s",
 						transport, base, got)
 				}
 				if stats.Requeued+stats.Stolen < 1 {
-					t.Errorf("%s: killed worker's sub-trial chunk was neither requeued nor stolen (stats %+v)", transport, stats)
+					t.Errorf("%s: killed worker's shard was neither requeued nor stolen (stats %+v)", transport, stats)
 				}
 			}
 		})

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/parallel"
-	"repro/internal/phy"
 )
 
 // ServeOptions configures one worker.
@@ -157,11 +156,6 @@ func serve(conn Conn, o ServeOptions, established *bool) error {
 			return nil
 		case *Reject:
 			return &RejectedError{Reason: a.Reason}
-		case *Prepare:
-			// Warm-worker step: build the named phy tables now, while no
-			// assignment is running, so they are cached for every shard
-			// this connection will execute.
-			phy.Warm(a.Frames...)
 		case *Assign:
 			if o.OnAssign != nil {
 				if err := o.OnAssign(*a); err != nil {

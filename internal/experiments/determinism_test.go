@@ -86,7 +86,8 @@ func TestReportsIdenticalAcrossShards(t *testing.T) {
 			base := exp.Run(cfg).String()
 			for _, k := range counts {
 				shards := make([][]*LoopPartial, 0, k)
-				for _, shard := range parallel.NewShardPlan(k).Shards() {
+				for i := 0; i < k; i++ {
+					shard := parallel.Shard{Index: i, Count: k}
 					// Round-trip through JSON, as the loop records
 					// travel on the wire: the parity guarantee must
 					// survive serialize → deserialize.

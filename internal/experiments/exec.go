@@ -74,10 +74,6 @@ type shardExec struct {
 	// that replayed partials match the experiment's structure and that
 	// no label is used twice.
 	loops map[string]int
-	// plans maps loop label → declared sub-trial plan (zero for plain
-	// loops), so a replay can verify the partials were produced by the
-	// same cell×unit decomposition the experiment declares.
-	plans map[string]parallel.SubPlan
 	// replayed marks the partial loops the experiment consumed in
 	// modeReplay; MergeShards turns leftovers into an error (a shard
 	// with loops the experiment never runs is from a different build).
@@ -93,7 +89,6 @@ func newExec(mode shardMode) *shardExec {
 		mode:     mode,
 		cols:     newColSet(),
 		loops:    map[string]int{},
-		plans:    map[string]parallel.SubPlan{},
 		owner:    map[string]string{},
 		replayed: map[string]bool{},
 	}
@@ -242,24 +237,6 @@ func (c *colSet) absorb(e *Emitter) {
 // randomness from the global trial index i and must not call
 // cfg.trials recursively.
 func (c Config) trials(label string, n int, fn func(i int, em *Emitter)) {
-	c.runLoop(label, n, parallel.SubPlan{}, fn)
-}
-
-// subTrials is the trials variant for loops whose trial range is really
-// a Cells×Units sub-trial grid (see parallel.SubPlan): fn(i, em) runs
-// work unit plan.Cell(i). The plan travels on the shard wire format so
-// a replaying coordinator can verify the partials were produced by the
-// same decomposition, and so operators can see how a heavy trial was
-// split. Execution is otherwise identical to trials — the flattened
-// range shards, seeds, and merges like any other.
-func (c Config) subTrials(label string, plan parallel.SubPlan, fn func(i int, em *Emitter)) {
-	if !plan.Valid() {
-		panic(fmt.Sprintf("experiments: trial loop %q declares invalid sub-trial plan %v", label, plan))
-	}
-	c.runLoop(label, plan.Trials(), plan, fn)
-}
-
-func (c Config) runLoop(label string, n int, plan parallel.SubPlan, fn func(i int, em *Emitter)) {
 	sh := c.sh
 	if sh == nil {
 		panic("experiments: Config.trials outside a registered runner")
@@ -276,9 +253,6 @@ func (c Config) runLoop(label string, n int, plan parallel.SubPlan, fn func(i in
 		if want != n {
 			panic(replayMismatch(fmt.Sprintf("trial loop %q has %d trials, partials carry %d", label, n, want)))
 		}
-		if got := sh.plans[label]; got != plan {
-			panic(replayMismatch(fmt.Sprintf("trial loop %q declares sub-trial plan %v, partials carry %v", label, plan, got)))
-		}
 		sh.replayed[label] = true
 		return
 	case modeCollect:
@@ -289,8 +263,7 @@ func (c Config) runLoop(label string, n int, plan parallel.SubPlan, fn func(i in
 			return em
 		})
 		sh.claim(label, n, ems)
-		sh.plans[label] = plan
-		if err := sh.emit(encodeLoop(label, n, lo, plan, ems)); err != nil {
+		if err := sh.emit(encodeLoop(label, n, lo, ems)); err != nil {
 			panic(emitAbort{err})
 		}
 	default:
@@ -300,28 +273,10 @@ func (c Config) runLoop(label string, n int, plan parallel.SubPlan, fn func(i in
 			return em
 		})
 		sh.claim(label, n, ems)
-		sh.plans[label] = plan
 		for _, em := range ems {
 			sh.cols.absorb(em)
 		}
 	}
-}
-
-// execRange returns the slice [lo, hi) of an n-trial range this
-// execution mode actually runs: the whole range in-process, the shard's
-// contiguous slice on a shard worker, nothing on a replaying
-// coordinator. Runners use it to size shared per-cell resources (for
-// example memoized traces) to the work this process will perform.
-func (c Config) execRange(n int) (lo, hi int) {
-	if c.sh != nil {
-		switch c.sh.mode {
-		case modeCollect:
-			return c.sh.shard.Range(n)
-		case modeReplay:
-			return 0, 0
-		}
-	}
-	return 0, n
 }
 
 // collecting reports whether this run is a shard worker, in which case

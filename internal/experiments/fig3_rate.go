@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/parallel"
 	"repro/internal/phy"
 	"repro/internal/rate"
 	"repro/internal/ratesim"
@@ -15,22 +14,13 @@ import (
 
 func init() {
 	register("fig3-5", "hint-aware rate adaptation on mixed static/mobile traces (TCP)", Fig3_5,
-		frames(phy.DefaultFrameBytes), tags("ch3", "rate", "paper"), plan(ratePlan(3, 15, 4)))
+		frames(phy.DefaultFrameBytes), tags("ch3", "rate", "paper"))
 	register("fig3-6", "rate adaptation on mobile-only traces (TCP)", Fig3_6,
-		frames(phy.DefaultFrameBytes), tags("ch3", "rate", "paper"), plan(ratePlan(3, 10, 4)))
+		frames(phy.DefaultFrameBytes), tags("ch3", "rate", "paper"))
 	register("fig3-7", "rate adaptation on static-only traces (TCP)", Fig3_7,
-		frames(phy.DefaultFrameBytes), tags("ch3", "rate", "paper"), plan(ratePlan(3, 10, 4)))
+		frames(phy.DefaultFrameBytes), tags("ch3", "rate", "paper"))
 	register("fig3-8", "rate adaptation in the vehicular setting (UDP)", Fig3_8,
-		frames(phy.DefaultFrameBytes), tags("ch3", "rate", "paper"), plan(ratePlan(1, 10, 4)))
-}
-
-// ratePlan publishes a Chapter 3 comparison's sub-trial grid as data:
-// one cell per (environment, trace) pair, one unit per protocol — the
-// exact plan its rateComparisonTrials call declares at the same Config.
-func ratePlan(envs, nBase, nMin int) func(Config) parallel.SubPlan {
-	return func(cfg Config) parallel.SubPlan {
-		return parallel.SubPlan{Cells: envs * cfg.scaleInt(nBase, nMin), Units: len(protoSet)}
-	}
+		frames(phy.DefaultFrameBytes), tags("ch3", "rate", "paper"))
 }
 
 // protoSet names the protocols compared in Chapter 3.
@@ -82,48 +72,40 @@ func runProto(name string, tr *trace.FateTrace, workload ratesim.Workload, seed 
 	return res.ThroughputMbps
 }
 
-// rateComparisonTrials runs the trial phase of a Chapter 3 comparison
-// as a sub-trial grid: one cell per (environment, trace) pair, one work
-// unit per protocol replay. Each unit emits its protocol's throughput
-// into the "<env>/<protocol>" accumulator; row-major sub-trial indexing
-// visits units in exactly the order the old one-trial-per-cell loop
-// emitted them, so the merged accumulators — and the report bytes — are
-// unchanged, while a cell's six replays (the actual wall-clock weight;
-// MAC replay dwarfs trace generation) can now land on six different
-// workers. Trace and adapter seeds derive from the *cell* index on the
-// cell seed streams, so every unit of a cell replays the identical
-// trace regardless of which process runs it; the traceProvider memoizes
-// the cell's generation across the units that share a process.
-type rateCell struct {
-	mean, ci float64
-}
-
+// rateComparisonTrials runs the trial phase of a Chapter 3 comparison:
+// one trial per (environment, trace) pair runs the whole protocol set
+// and emits each protocol's throughput into the "<env>/<protocol>"
+// accumulator. Trials derive their trace and adapter seeds from the
+// experiment's seed stream by global trial index and their emissions
+// absorb in trial order, so the resulting table is bit-identical for
+// any worker count — and for any shard count.
 func rateComparisonTrials(cfg Config, label string, envs []channel.Environment, schedFor func(total time.Duration, rep int) sensors.Schedule,
 	total time.Duration, nTraces int, workload ratesim.Workload) {
 
 	traces := cfg.stream(label + "/traces")
 	adapters := cfg.stream(label + "/adapters")
-	plan := parallel.SubPlan{Cells: len(envs) * nTraces, Units: len(protoSet)}
-	// Traces are per-cell throwaways; the pool recycles slot buffers
-	// across cells so the fan-out is not throttled by allocation.
+	// Traces are per-trial throwaways; a pool recycles slot buffers
+	// across trials so the fan-out is not throttled by allocation.
 	var pool channel.TracePool
-	prov := newTraceProvider(cfg, &pool, plan.Units, plan.Trials(), func(cell int) channel.Config {
-		ei, rep := cell/nTraces, cell%nTraces
-		return channel.Config{
+	cfg.trials(label, len(envs)*nTraces, func(idx int, em *Emitter) {
+		ei, rep := idx/nTraces, idx%nTraces
+		tr := pool.Generate(channel.Config{
 			Env:   envs[ei],
 			Sched: schedFor(total, rep),
 			Total: total,
-			Seed:  traces.Seed(cell),
+			Seed:  traces.Seed(idx),
+		})
+		defer pool.Put(tr)
+		for _, p := range protoSet {
+			em.Add(envs[ei].Name+"/"+p, runProto(p, tr, workload, adapters.Seed(idx)))
 		}
 	})
-	cfg.subTrials(label, plan, func(idx int, em *Emitter) {
-		cell, unit := plan.Cell(idx)
-		ei := cell / nTraces
-		tr := prov.acquire(cell)
-		defer prov.release(cell)
-		p := protoSet[unit]
-		em.Add(envs[ei].Name+"/"+p, runProto(p, tr, workload, adapters.Seed(cell)))
-	})
+}
+
+// rateCell is one protocol's mean throughput in one environment, with
+// its 95% confidence half-width.
+type rateCell struct {
+	mean, ci float64
 }
 
 // rateCells reads the merged per-protocol accumulators back into the

@@ -11,13 +11,13 @@ import (
 // undeclared runners and unknown ids fall back to the phy default, and
 // the union is sorted and deduplicated.
 func TestFrameSizes(t *testing.T) {
-	if got := FrameSizes("fig3-7"); !reflect.DeepEqual(got, []int{phy.DefaultFrameBytes}) {
+	if got := Default.FrameSizes("fig3-7"); !reflect.DeepEqual(got, []int{phy.DefaultFrameBytes}) {
 		t.Errorf("FrameSizes(fig3-7) = %v, want [%d]", got, phy.DefaultFrameBytes)
 	}
-	if got := FrameSizes("fig2-2", "no-such-experiment"); !reflect.DeepEqual(got, []int{phy.DefaultFrameBytes}) {
+	if got := Default.FrameSizes("fig2-2", "no-such-experiment"); !reflect.DeepEqual(got, []int{phy.DefaultFrameBytes}) {
 		t.Errorf("FrameSizes with fallback ids = %v, want [%d]", got, phy.DefaultFrameBytes)
 	}
-	whole := FrameSizes()
+	whole := Default.FrameSizes()
 	if len(whole) == 0 {
 		t.Fatal("FrameSizes() over the registry is empty")
 	}
@@ -34,7 +34,7 @@ func TestFrameSizes(t *testing.T) {
 	f37, _ := Default.ByID("fig3-7")
 	reg.MustRegister(f37)
 	reg.MustRegister(Runner{ID: "frames-test-synth", Frames: []int{256, 1500}, Run: func(Config) *Report { return nil }})
-	got := FrameSizes("frames-test-synth", "fig3-7")
+	got := Default.FrameSizes("frames-test-synth", "fig3-7")
 	if !reflect.DeepEqual(got, []int{phy.DefaultFrameBytes}) {
 		// Default has no synth runner: unknown ids fall back.
 		t.Errorf("Default FrameSizes(synth, fig3-7) = %v, want [%d]", got, phy.DefaultFrameBytes)
@@ -47,7 +47,7 @@ func TestFrameSizes(t *testing.T) {
 }
 
 // TestRegistry covers the exported Registry API: validation, duplicate
-// rejection, tag lookup, id ordering, and plan publication.
+// rejection, tag lookup, and id ordering.
 func TestRegistry(t *testing.T) {
 	reg := NewRegistry()
 	noop := func(Config) *Report { return nil }
@@ -78,19 +78,10 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("ByTag(nope) = %v", rs)
 	}
 
-	// Every paper experiment in Default is tagged, and the Chapter 3
-	// comparisons publish the plan their trial loops declare.
+	// Every paper experiment in Default is tagged.
 	for _, r := range Default.All() {
 		if len(r.Tags) == 0 {
 			t.Errorf("experiment %q has no tags", r.ID)
 		}
-	}
-	f35, ok := Default.ByID("fig3-5")
-	if !ok || f35.Plan == nil {
-		t.Fatal("fig3-5 missing or without a published plan")
-	}
-	p := f35.Plan(Config{Scale: 0.1})
-	if p.Cells == 0 || p.Units != len(protoSet) {
-		t.Errorf("fig3-5 plan = %+v, want %d units", p, len(protoSet))
 	}
 }

@@ -167,19 +167,13 @@ type Runner struct {
 	Desc string
 	// Frames lists the frame payload sizes (phy LUT keys) the
 	// experiment's hot loops read; nil means phy.DefaultFrameBytes. A
-	// fleet warms exactly these tables before dispatching the experiment
+	// benchmark warms exactly these tables before timing the experiment
 	// (see Registry.FrameSizes), instead of guessing from a fixed list.
 	Frames []int
 	// Tags group experiments for bulk selection (Registry.ByTag,
 	// hintbench -tag): the chapter ("ch3", "ch5"), the workload family
 	// ("rate", "probing", "scenario"), the scale ("city").
 	Tags []string
-	// Plan, when non-nil, describes the experiment's dominant trial
-	// decomposition as data — the Cells×Units sub-trial grid it will
-	// declare to the shard engine at the given Config — so operators and
-	// schedulers can see how a heavy experiment splits without running
-	// it. Nil means a flat trial loop.
-	Plan func(Config) parallel.SubPlan
 }
 
 // HasTag reports whether the runner carries the tag.
@@ -299,8 +293,8 @@ func (g *Registry) Tags() []string {
 // FrameSizes returns the sorted, deduplicated union of the frame
 // payload sizes the named experiments declare (phy.DefaultFrameBytes
 // for experiments that declare none, and for ids not in the registry) —
-// the exact table set a fleet should phy.Warm before running them. With
-// no ids it covers the whole registry.
+// the exact table set to phy.Warm before timing them. With no ids it
+// covers the whole registry.
 func (g *Registry) FrameSizes(ids ...string) []int {
 	set := map[int]bool{}
 	add := func(r Runner) {
@@ -340,9 +334,9 @@ var Default = NewRegistry()
 // runnerOpt customises a registration beyond (id, desc, run).
 type runnerOpt func(*Runner)
 
-// frames declares the frame payload sizes the experiment's trials hit,
-// for the warm-worker prepare step. Experiments that leave it out
-// default to phy.DefaultFrameBytes.
+// frames declares the frame payload sizes the experiment's trials hit
+// (see Runner.Frames). Experiments that leave it out default to
+// phy.DefaultFrameBytes.
 func frames(sizes ...int) runnerOpt {
 	return func(r *Runner) { r.Frames = sizes }
 }
@@ -350,11 +344,6 @@ func frames(sizes ...int) runnerOpt {
 // tags labels the experiment for bulk selection.
 func tags(ts ...string) runnerOpt {
 	return func(r *Runner) { r.Tags = ts }
-}
-
-// plan publishes the experiment's sub-trial decomposition as data.
-func plan(fn func(Config) parallel.SubPlan) runnerOpt {
-	return func(r *Runner) { r.Plan = fn }
 }
 
 // register adds an experiment to the Default registry (called from each
@@ -366,9 +355,6 @@ func register(id, desc string, run func(Config) *Report, opts ...runnerOpt) {
 	}
 	Default.MustRegister(r)
 }
-
-// FrameSizes, All, and ByID delegate to the Default registry.
-func FrameSizes(ids ...string) []int { return Default.FrameSizes(ids...) }
 
 // All returns every experiment in the Default registry sorted by id.
 func All() []Runner { return Default.All() }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/parallel"
 	"repro/internal/phy"
 	"repro/internal/scenario"
 	"repro/internal/vehicular"
@@ -14,7 +13,7 @@ import (
 // This file registers the city-scale scenario engine as ordinary
 // experiments, so the event-driven runs shard across the fleet exactly
 // like the paper reproductions: city-grid and city-handoff are each ONE
-// city whose client population splits into sub-trial chunks (the
+// city whose client population splits into one trial per chunk (the
 // chunk-union property proven by TestChunkUnionMatchesRun makes the
 // merged report byte-identical to an unsharded run), city-contend
 // couples clients through the medium and therefore runs whole trials,
@@ -24,9 +23,9 @@ import (
 
 func init() {
 	register("city-grid", "city-scale roaming on the event engine, sharded by client chunk", CityGrid,
-		frames(200, 600, 1000, 1400), tags("scenario", "city"), plan(cityPlan))
+		frames(200, 600, 1000, 1400), tags("scenario", "city"))
 	register("city-handoff", "handoff storm: fast vehicles through small cells", CityHandoff,
-		frames(600), tags("scenario", "city"), plan(cityPlan))
+		frames(600), tags("scenario", "city"))
 	register("city-contend", "dense-AP contention: clients coupled through the medium", CityContend,
 		frames(1400), tags("scenario", "city"))
 	register("scn-oracle", "event engine vs slot-driven oracle differentials", ScnOracle,
@@ -54,16 +53,10 @@ func citySize(cfg Config) (side, clients int, dur time.Duration) {
 	return side, clients, dur
 }
 
-// cityChunks is the sub-trial fan-out of one city run: the client
+// cityChunks is the trial fan-out of one city run: the client
 // population splits into this many contiguous chunks, each an
-// independently runnable (and shardable) work unit.
+// independently runnable (and shardable) trial.
 func cityChunks(cfg Config) int { return cfg.scaleInt(16, 2) }
-
-// cityPlan publishes the decomposition on the registry so operators and
-// the shard coordinator see one city cell split into chunk units.
-func cityPlan(cfg Config) parallel.SubPlan {
-	return parallel.SubPlan{Cells: 1, Units: cityChunks(cfg)}
-}
 
 // emitScenario flattens one chunk's integer Metrics onto the trial
 // emitter. Every field is an exact small integer in float64, so the
@@ -171,7 +164,7 @@ func CityGrid(cfg Config) *Report {
 	sc := CityScenario(cfg)
 	chunks := cityChunks(cfg)
 	n := sc.ClientCount()
-	cfg.subTrials("city-grid", parallel.SubPlan{Cells: 1, Units: chunks}, func(i int, em *Emitter) {
+	cfg.trials("city-grid", chunks, func(i int, em *Emitter) {
 		emitScenario(em, scenario.RunChunk(sc, i*n/chunks, (i+1)*n/chunks))
 	})
 	if cfg.collecting() {
@@ -224,7 +217,7 @@ func CityHandoff(cfg Config) *Report {
 	sc := cityHandoffScenario(cfg)
 	chunks := cityChunks(cfg)
 	n := sc.ClientCount()
-	cfg.subTrials("city-handoff", parallel.SubPlan{Cells: 1, Units: chunks}, func(i int, em *Emitter) {
+	cfg.trials("city-handoff", chunks, func(i int, em *Emitter) {
 		emitScenario(em, scenario.RunChunk(sc, i*n/chunks, (i+1)*n/chunks))
 	})
 	if cfg.collecting() {

@@ -36,22 +36,9 @@ type LoopPartial struct {
 	// Lo is the first global trial index of this shard's slice; the
 	// slice is [Lo, Lo+len(Trials)).
 	Lo int `json:"lo"`
-	// Cells and Units carry the loop's declared sub-trial plan when the
-	// trial range is really a Cells×Units grid of sub-trial work units
-	// (see parallel.SubPlan); both are zero for plain loops. When set,
-	// Cells×Units must equal N, and every shard of a run must agree —
-	// a replaying coordinator additionally checks the plan against the
-	// decomposition the experiment declares.
-	Cells int `json:"cells,omitempty"`
-	Units int `json:"units,omitempty"`
 	// Trials holds the per-trial emissions in ascending global trial
 	// index order.
 	Trials []TrialPartial `json:"trials"`
-}
-
-// plan returns the loop's sub-trial plan (zero for plain loops).
-func (lp *LoopPartial) plan() parallel.SubPlan {
-	return parallel.SubPlan{Cells: lp.Cells, Units: lp.Units}
 }
 
 // TrialPartial is the serialized emissions of a single trial. Map
@@ -64,8 +51,8 @@ type TrialPartial struct {
 }
 
 // encodeLoop serializes one loop's per-trial emitters.
-func encodeLoop(label string, n, lo int, plan parallel.SubPlan, ems []*Emitter) *LoopPartial {
-	out := &LoopPartial{Label: label, N: n, Lo: lo, Cells: plan.Cells, Units: plan.Units, Trials: make([]TrialPartial, len(ems))}
+func encodeLoop(label string, n, lo int, ems []*Emitter) *LoopPartial {
+	out := &LoopPartial{Label: label, N: n, Lo: lo, Trials: make([]TrialPartial, len(ems))}
 	for i, em := range ems {
 		out.Trials[i] = encodeTrial(em)
 	}
@@ -149,8 +136,7 @@ func decodeTrial(tp TrialPartial) (*Emitter, error) {
 // tampering worker must not be able to craft a different result with
 // the same bytes) and order-stable. Layout, all fields
 // stats.AppendFrame-framed: the loop count; then per loop its label and
-// a fixed-width header carrying N, Lo, the trial count, and the
-// sub-trial plan (zero for plain loops); then per
+// a fixed-width header carrying N, Lo and the trial count; then per
 // trial a kind+name frame and payload frame per collector in sorted
 // name order, closed by an empty frame. The explicit counts pin every
 // frame's role — a decoder always knows whether the next frame is a
@@ -174,12 +160,10 @@ func CanonicalLoops(loops []*LoopPartial) ([]byte, error) {
 	app(count[:])
 	for _, loop := range loops {
 		app([]byte(loop.Label))
-		var hdr [40]byte
+		var hdr [24]byte
 		binary.LittleEndian.PutUint64(hdr[0:8], uint64(loop.N))
 		binary.LittleEndian.PutUint64(hdr[8:16], uint64(loop.Lo))
 		binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(loop.Trials)))
-		binary.LittleEndian.PutUint64(hdr[24:32], uint64(loop.Cells))
-		binary.LittleEndian.PutUint64(hdr[32:40], uint64(loop.Units))
 		app(hdr[:])
 		for _, tp := range loop.Trials {
 			for _, name := range sortedKeys(tp.Accs) {
@@ -277,7 +261,6 @@ func MergeShards(id string, cfg Config, shards [][]*LoopPartial) (*Report, error
 	}
 
 	sh := newExec(modeReplay)
-	want := parallel.ShardPlan{Count: k}
 	for li, ref := range first {
 		covered := 0
 		for i, loops := range shards {
@@ -286,11 +269,7 @@ func MergeShards(id string, cfg Config, shards [][]*LoopPartial) (*Report, error
 				return nil, fmt.Errorf("experiments: shard %d/%d loop %d is %q (%d trials), shard 0 has %q (%d trials)",
 					i, k, li, loop.Label, loop.N, ref.Label, ref.N)
 			}
-			if loop.plan() != ref.plan() {
-				return nil, fmt.Errorf("experiments: shard %d/%d loop %q declares sub-trial plan %v, shard 0 declares %v",
-					i, k, loop.Label, loop.plan(), ref.plan())
-			}
-			lo, hi := want.Range(loop.N, i)
+			lo, hi := parallel.Shard{Index: i, Count: k}.Range(loop.N)
 			if loop.Lo != lo || len(loop.Trials) != hi-lo {
 				return nil, fmt.Errorf("experiments: loop %q shard %d/%d carries [%d,%d), plan assigns [%d,%d)",
 					loop.Label, i, k, loop.Lo, loop.Lo+len(loop.Trials), lo, hi)
@@ -316,7 +295,6 @@ func MergeShards(id string, cfg Config, shards [][]*LoopPartial) (*Report, error
 			return nil, fmt.Errorf("experiments: loop %q merged %d of %d trials", ref.Label, covered, ref.N)
 		}
 		sh.loops[ref.Label] = ref.N
-		sh.plans[ref.Label] = ref.plan()
 	}
 
 	cfg.sh = sh

@@ -31,8 +31,8 @@ func runShard(t *testing.T, id string, cfg Config, shard parallel.Shard) []*Loop
 func shardFixture(t *testing.T, k int) [][]*LoopPartial {
 	t.Helper()
 	shards := make([][]*LoopPartial, 0, k)
-	for _, shard := range parallel.NewShardPlan(k).Shards() {
-		shards = append(shards, runShard(t, "sec5-3", fixtureCfg, shard))
+	for i := 0; i < k; i++ {
+		shards = append(shards, runShard(t, "sec5-3", fixtureCfg, parallel.Shard{Index: i, Count: k}))
 	}
 	return shards
 }
@@ -104,7 +104,7 @@ func TestMergeShardsValidation(t *testing.T) {
 
 // TestShardWorkerSkipsFinish asserts the worker contract: a collect-mode
 // run returns no report (the loop records are the product) and records
-// one loop per cfg.trials call with the plan's slice of each.
+// one loop per cfg.trials call with the shard's slice of each.
 func TestShardWorkerSkipsFinish(t *testing.T) {
 	loops := runShard(t, "fig3-1", Config{Scale: 0.1, Seed: 7}, parallel.Shard{Index: 1, Count: 2})
 	if len(loops) != 1 {

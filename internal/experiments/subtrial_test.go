@@ -1,65 +1,44 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/parallel"
 )
 
 // subTrialExperiments are the heavy runners whose trials must spread
-// across shards: fig3's sub-trial grids, and fig4's timeline figures,
-// plain loops of one trial per curve.
+// across shards: fig3's comparisons, one trial per (environment,
+// trace) cell, and fig4's timeline figures, one trial per curve.
 var subTrialExperiments = []string{"fig3-5", "fig3-6", "fig3-7", "fig3-8", "fig4-4", "fig4-5", "fig4-6"}
 
-// TestSubTrialPlanTravelsOnWire asserts that a sub-trial loop's
-// LoopPartial carries the declared Cells×Units plan and that the plan
-// multiplies out to the trial-range size.
-func TestSubTrialPlanTravelsOnWire(t *testing.T) {
+// TestRateComparisonRunsOneTrialPerTrace pins fig3's loop shape: one
+// trial per (environment, trace) cell, each replaying every protocol
+// of protoSet over its trace into that protocol's accumulator.
+func TestRateComparisonRunsOneTrialPerTrace(t *testing.T) {
 	loops := runShard(t, "fig3-8", Config{Scale: 0.1, Seed: 7}, parallel.Shard{Index: 0, Count: 1})
 	if len(loops) != 1 {
 		t.Fatalf("recorded %d loops, want 1", len(loops))
 	}
+	// fig3-8 at scale 0.1: one environment × scaleInt(10,4)=4 traces.
 	loop := loops[0]
-	// fig3-8 at scale 0.1: one environment × scaleInt(10,4)=4 traces,
-	// six protocols per cell.
-	if loop.Cells != 4 || loop.Units != 6 || loop.N != 24 {
-		t.Errorf("loop plan = %d×%d over %d trials, want 4×6 over 24", loop.Cells, loop.Units, loop.N)
+	if loop.N != 4 || loop.Lo != 0 || len(loop.Trials) != 4 {
+		t.Fatalf("loop n=%d lo=%d trials=%d, want n=4 lo=0 trials=4", loop.N, loop.Lo, len(loop.Trials))
 	}
-}
-
-// TestMergeShardsRejectsSubPlanMismatch asserts the two plan guards: a
-// shard disagreeing with its peers on the plan, and a complete shard
-// set whose plan does not match the decomposition the experiment
-// declares (stale records from a build with a different split).
-func TestMergeShardsRejectsSubPlanMismatch(t *testing.T) {
-	cfg := Config{Scale: 0.1, Seed: 7}
-	fixture := func() [][]*LoopPartial {
-		var shards [][]*LoopPartial
-		for _, shard := range parallel.NewShardPlan(2).Shards() {
-			shards = append(shards, runShard(t, "fig3-8", cfg, shard))
+	for i, tp := range loop.Trials {
+		if len(tp.Accs) != len(protoSet) || len(tp.Hists) != 0 || len(tp.Series) != 0 {
+			t.Errorf("trial %d carries %d accumulators, %d histograms, %d series; want %d accumulators only",
+				i, len(tp.Accs), len(tp.Hists), len(tp.Series), len(protoSet))
 		}
-		return shards
-	}
-
-	disagree := fixture()
-	disagree[1][0].Cells, disagree[1][0].Units = 6, 4
-	if _, err := MergeShards("fig3-8", cfg, disagree); err == nil || !strings.Contains(err.Error(), "sub-trial plan") {
-		t.Errorf("cross-shard plan disagreement accepted (err=%v)", err)
-	}
-
-	stale := fixture()
-	for _, loops := range stale {
-		loops[0].Cells, loops[0].Units = 0, 0
-	}
-	if _, err := MergeShards("fig3-8", cfg, stale); err == nil || !strings.Contains(err.Error(), "stale partials") {
-		t.Errorf("plan-less partials for a sub-trial loop accepted (err=%v)", err)
+		for _, p := range protoSet {
+			if _, ok := tp.Accs["vehicular/"+p]; !ok {
+				t.Errorf("trial %d has no vehicular/%s accumulator", i, p)
+			}
+		}
 	}
 }
 
-// TestSubTrialShardsSpread is the decomposition half of the issue's
-// acceptance criterion: on a four-shard split (the four-worker fleet),
-// every restructured heavy experiment must put real work on every
+// TestSubTrialShardsSpread: on a four-shard split (the four-worker
+// fleet), every heavy experiment must put real work on more than one
 // shard, and the merge must stay byte-identical to the single-process
 // run.
 func TestSubTrialShardsSpread(t *testing.T) {
@@ -80,8 +59,8 @@ func TestSubTrialShardsSpread(t *testing.T) {
 
 			var shards [][]*LoopPartial
 			busy := 0
-			for _, shard := range parallel.NewShardPlan(k).Shards() {
-				loops := runShard(t, id, cfg, shard)
+			for i := 0; i < k; i++ {
+				loops := runShard(t, id, cfg, parallel.Shard{Index: i, Count: k})
 				trials := 0
 				for _, loop := range loops {
 					trials += len(loop.Trials)

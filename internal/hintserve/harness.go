@@ -24,7 +24,6 @@ type BenchHarness struct {
 	batches []*batch
 	idx     int
 	now     time.Duration
-	packets int // packets per full cycle
 }
 
 // NewBenchHarness builds a harness serving the given number of
@@ -44,7 +43,7 @@ func NewBenchHarness(cfg Config, clients int) (*BenchHarness, error) {
 
 	total := 2 * clients
 	nbatches := (total + cfg.BatchSize - 1) / cfg.BatchSize
-	h := &BenchHarness{sh: sh, packets: total}
+	h := &BenchHarness{sh: sh}
 
 	payload := make([]byte, 64)
 	for i := range payload {
@@ -120,9 +119,6 @@ func (h *BenchHarness) ServeBatch() (packets, acks int) {
 	h.sh.serveBatch(b, h.now)
 	return b.n, len(b.acks)
 }
-
-// CyclePackets reports how many packets one full replay cycle serves.
-func (h *BenchHarness) CyclePackets() int { return h.packets }
 
 // NumBatches reports how many prebuilt batches the harness cycles over.
 func (h *BenchHarness) NumBatches() int { return len(h.batches) }

@@ -465,9 +465,6 @@ func New(conn *net.UDPConn, cfg Config) *Server {
 // LocalAddr reports the bound socket address.
 func (s *Server) LocalAddr() net.Addr { return s.conn.LocalAddr() }
 
-// NumShards reports the configured shard count.
-func (s *Server) NumShards() int { return len(s.shards) }
-
 // Serve runs the reader loop and shard goroutines until Close (or a
 // fatal socket error). It returns nil on a clean Close.
 func (s *Server) Serve() error {

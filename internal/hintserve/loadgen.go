@@ -99,14 +99,14 @@ type LoadConfig struct {
 	PayloadSize int
 	// Seed makes the traffic mix deterministic; default 1.
 	Seed int64
-	// DrainWait is how long a sender waits for missing ACKs before
-	// writing them off as lost. It must comfortably exceed the plane's
-	// ack latency under full load or the closed loop degenerates into
-	// an open one; default 50ms.
-	DrainWait time.Duration
 	// Timeout bounds the whole run; default 120s.
 	Timeout time.Duration
 }
+
+// drainWait is how long a sender waits for missing ACKs before writing
+// them off as lost. It must comfortably exceed the plane's ack latency
+// under full load or the closed loop degenerates into an open one.
+const drainWait = 50 * time.Millisecond
 
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Clients <= 0 {
@@ -126,9 +126,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.DrainWait <= 0 {
-		c.DrainWait = 50 * time.Millisecond
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 120 * time.Second
@@ -426,7 +423,7 @@ func runSender(cfg LoadConfig, raddr *net.UDPAddr, id, lo, hi int, quota int64, 
 		if outstanding < int64(cfg.Window) && sent < quota {
 			continue
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(cfg.DrainWait))
+		_ = conn.SetReadDeadline(time.Now().Add(drainWait))
 		drained := false
 		for outstanding >= int64(cfg.Window) || (sent >= quota && outstanding > 0) {
 			n, err := conn.Read(rxbuf)

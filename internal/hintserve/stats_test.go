@@ -121,7 +121,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 // frame's ACK must be matched to its departure. A stamp ring smaller
 // than a client's frames in flight overwrites stamps before their ACKs
 // arrive; those ACKs are dropped as unmatched, the window shrinks for
-// the rest of the run, and the run ends on a DrainWait stall.
+// the rest of the run, and the run ends on a drainWait stall.
 func TestRunLoadMatchesEveryAck(t *testing.T) {
 	srv, addr := startServer(t, Config{Shards: 2})
 	cases := []struct {

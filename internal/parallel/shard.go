@@ -27,7 +27,7 @@ func (s Shard) Valid() bool { return s.Count >= 1 && s.Index >= 0 && s.Index < s
 func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
 // Range returns this shard's contiguous sub-range [lo, hi) of a trial
-// range [0, n). The K ranges of a count-K plan partition [0, n) in
+// range [0, n). The ranges of shards 0..K-1 of K partition [0, n) in
 // index order with sizes differing by at most one, so merging shard
 // results in shard order visits trials in exactly global trial order —
 // the property the cross-process merge contract relies on.
@@ -39,33 +39,4 @@ func (s Shard) Range(n int) (lo, hi int) {
 	lo = int(int64(s.Index) * int64(n) / int64(s.Count))
 	hi = int(int64(s.Index+1) * int64(n) / int64(s.Count))
 	return lo, hi
-}
-
-// ShardPlan splits every trial range across a fixed number of shards.
-type ShardPlan struct {
-	// Count is the number of shards, at least 1.
-	Count int
-}
-
-// NewShardPlan returns a plan with the given shard count; counts below
-// one are clamped to one (the single-process plan).
-func NewShardPlan(count int) ShardPlan {
-	if count < 1 {
-		count = 1
-	}
-	return ShardPlan{Count: count}
-}
-
-// Shards returns the plan's shards in index order.
-func (p ShardPlan) Shards() []Shard {
-	out := make([]Shard, p.Count)
-	for k := range out {
-		out[k] = Shard{Index: k, Count: p.Count}
-	}
-	return out
-}
-
-// Range returns shard k's sub-range of [0, n).
-func (p ShardPlan) Range(n, k int) (lo, hi int) {
-	return Shard{Index: k, Count: p.Count}.Range(n)
 }

@@ -11,10 +11,10 @@ import (
 func TestShardRangePartitions(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 64, 100, 601, 12345} {
 		for _, k := range []int{1, 2, 3, 4, 7, 16, 100} {
-			plan := NewShardPlan(k)
 			next := 0
 			minSize, maxSize := n+1, -1
-			for _, s := range plan.Shards() {
+			for i := 0; i < k; i++ {
+				s := Shard{Index: i, Count: k}
 				lo, hi := s.Range(n)
 				if lo != next {
 					t.Fatalf("n=%d K=%d shard %v: range starts at %d, want %d", n, k, s, lo, next)
@@ -61,14 +61,5 @@ func TestShardValid(t *testing.T) {
 	}
 	if lo, hi := (Shard{}).Range(10); lo != 0 || hi != 0 {
 		t.Errorf("invalid shard range = [%d,%d), want empty", lo, hi)
-	}
-}
-
-func TestNewShardPlanClamps(t *testing.T) {
-	if p := NewShardPlan(0); p.Count != 1 {
-		t.Errorf("NewShardPlan(0).Count = %d, want 1", p.Count)
-	}
-	if lo, hi := NewShardPlan(3).Range(2, 2); lo > hi {
-		t.Errorf("plan range inverted: [%d,%d)", lo, hi)
 	}
 }

@@ -173,16 +173,16 @@ var airtimes sync.Map // int → *Airtimes
 
 // DefaultFrameBytes is the payload length the simulations use unless an
 // experiment says otherwise (the same default ErrorTableFor/AirtimesFor
-// substitute for non-positive sizes). Warm-worker preparation warms it
-// when the caller has no better list.
+// substitute for non-positive sizes). Warm builds it when given no
+// list.
 const DefaultFrameBytes = 1000
 
 // Warm pre-builds the error and airtime tables for the given payload
-// lengths (DefaultFrameBytes when none are given), so a worker can pay
-// the LUT construction once, before its first assignment's trial
-// fan-out would otherwise race to build the same tables inside the hot
-// loop. The tables land in the process-global caches and stay warm for
-// every later assignment.
+// lengths (DefaultFrameBytes when none are given), so a caller can pay
+// the LUT construction once, before a timed run's trial fan-out would
+// otherwise race to build the same tables inside the hot loop. The
+// tables land in the process-global caches and stay warm for every
+// later run.
 func Warm(bytes ...int) {
 	if len(bytes) == 0 {
 		bytes = []int{DefaultFrameBytes}

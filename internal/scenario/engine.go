@@ -341,8 +341,8 @@ func Run(sc Scenario) Result {
 // event engine. Because every client's randomness is its own indexed
 // stream, merging the Metrics of any disjoint chunk cover of
 // [0, ClientCount()) — in chunk order — reproduces Run's Metrics
-// byte-for-byte. That is what lets a single city-scale trial shard
-// across fleet workers as sub-trials. Contention couples clients
+// byte-for-byte. That is what lets a single city-scale run shard
+// across fleet workers as one trial per chunk. Contention couples clients
 // through the shared medium, so chunking a contended scenario would
 // silently change its physics; it panics instead.
 func RunChunk(sc Scenario, lo, hi int) Result {

@@ -127,7 +127,7 @@ func TestContentionStatistical(t *testing.T) {
 // TestChunkUnionMatchesRun is the sharding differential: running any
 // disjoint chunk cover of the client population and merging in chunk
 // order must reproduce the full run byte-for-byte. This is the property
-// that lets one city-scale trial split into fleet sub-trials.
+// that lets one city-scale run split into one fleet trial per chunk.
 func TestChunkUnionMatchesRun(t *testing.T) {
 	for _, sc := range testScenarios() {
 		want := Run(sc)
