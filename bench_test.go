@@ -560,3 +560,12 @@ func BenchmarkVehicularStep(b *testing.B) {
 		sim.Step()
 	}
 }
+
+// BenchmarkCollectLinks collects one Table 5.1 network's links: 100
+// vehicles over 300 s, about 1.5 M pair checks.
+func BenchmarkCollectLinks(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vehicular.CollectLinks(vehicular.NewSimulation(vehicular.DefaultMobilityConfig(9)), 300*time.Second)
+	}
+}

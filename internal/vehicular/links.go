@@ -30,51 +30,46 @@ func (l LinkRecord) Duration() time.Duration { return l.End - l.Start }
 // the pair's heading difference at that moment; when they separate the
 // link ends. Links still open at the end are closed at the horizon (a
 // small downward bias shared by all buckets, as in any finite trace).
+// Links are returned in (Start, A, B) order, the order they begin in.
 func CollectLinks(sim *Simulation, total time.Duration) []LinkRecord {
-	type key struct{ a, b int }
-	open := map[key]*LinkRecord{}
-	var done []LinkRecord
-	n := len(sim.Vehicles())
+	vs := sim.Vehicles()
+	n := len(vs)
+	area := sim.cfg.Area
+	// open[i*n+j], for i < j, is 1 + the index in links of the pair's
+	// open link, or 0 while the pair has none.
+	open := make([]int32, n*n)
+	var links []LinkRecord
 	for sim.Now() < total {
 		now := sim.Now()
-		vs := sim.Vehicles()
-		for i := 0; i < n; i++ {
+		for i := range vs {
+			a, row := &vs[i], open[i*n:(i+1)*n]
 			for j := i + 1; j < n; j++ {
-				k := key{i, j}
-				inRange := sim.Distance(vs[i], vs[j]) <= LinkRange
-				rec, isOpen := open[k]
-				switch {
-				case inRange && !isOpen:
-					open[k] = &LinkRecord{
+				b := &vs[j]
+				in := linked(area.offset(a, b))
+				switch k := row[j]; {
+				case in && k == 0:
+					links = append(links, LinkRecord{
 						A:                i,
 						B:                j,
-						StartHeadingDiff: sensors.HeadingSeparation(vs[i].HeadingDeg, vs[j].HeadingDeg),
+						StartHeadingDiff: sensors.HeadingSeparation(a.HeadingDeg, b.HeadingDeg),
 						Start:            now,
-					}
-				case !inRange && isOpen:
-					rec.End = now
-					done = append(done, *rec)
-					delete(open, k)
+					})
+					row[j] = int32(len(links))
+				case !in && k != 0:
+					links[k-1].End = now
+					row[j] = 0
 				}
 			}
 		}
 		sim.Step()
 	}
 	horizon := sim.Now()
-	for _, rec := range open {
-		rec.End = horizon
-		done = append(done, *rec)
+	for _, k := range open {
+		if k != 0 {
+			links[k-1].End = horizon
+		}
 	}
-	sort.Slice(done, func(i, j int) bool {
-		if done[i].Start != done[j].Start {
-			return done[i].Start < done[j].Start
-		}
-		if done[i].A != done[j].A {
-			return done[i].A < done[j].A
-		}
-		return done[i].B < done[j].B
-	})
-	return done
+	return links
 }
 
 // HeadingBucket classifies a heading difference into the Table 5.1

@@ -85,8 +85,14 @@ type Simulation struct {
 	cfg  MobilityConfig
 	rng  *rand.Rand
 	vs   []Vehicle
-	togo []float64 // metres remaining on the current road segment
+	segs []segment // each vehicle's current road segment
 	tick int
+}
+
+// segment is the road a vehicle is on: the metres left on it, and the
+// sine and cosine of its heading, computed once when the segment begins.
+type segment struct {
+	togo, sin, cos float64
 }
 
 // NewSimulation places the fleet uniformly with random road headings.
@@ -106,7 +112,12 @@ func NewSimulation(cfg MobilityConfig) *Simulation {
 	if cfg.Area.Width <= 0 || cfg.Area.Height <= 0 {
 		cfg.Area = DefaultArea()
 	}
-	s := &Simulation{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	s := &Simulation{
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		vs:   make([]Vehicle, 0, cfg.Vehicles),
+		segs: make([]segment, 0, cfg.Vehicles),
+	}
 	for i := 0; i < cfg.Vehicles; i++ {
 		v := Vehicle{ID: i}
 		v.X = s.rng.Float64() * cfg.Area.Width
@@ -114,7 +125,7 @@ func NewSimulation(cfg MobilityConfig) *Simulation {
 		v.HeadingDeg = s.newHeading()
 		v.SpeedMps = math.Max(2, cfg.MeanSpeed+s.rng.NormFloat64()*cfg.SpeedJitter)
 		s.vs = append(s.vs, v)
-		s.togo = append(s.togo, s.segmentLen())
+		s.segs = append(s.segs, s.newSegment(v.HeadingDeg))
 	}
 	return s
 }
@@ -127,12 +138,16 @@ func (s *Simulation) newHeading() float64 {
 	return s.rng.Float64() * 360
 }
 
-// segmentLen draws an exponential road-segment length.
-func (s *Simulation) segmentLen() float64 {
-	return s.rng.ExpFloat64() * s.cfg.MeanSegment
+// newSegment begins a road segment along the given heading, drawing its
+// exponential length.
+func (s *Simulation) newSegment(headingDeg float64) segment {
+	rad := headingDeg * math.Pi / 180
+	return segment{togo: s.rng.ExpFloat64() * s.cfg.MeanSegment, sin: math.Sin(rad), cos: math.Cos(rad)}
 }
 
-// Vehicles returns the current fleet state (shared slice; do not modify).
+// Vehicles returns the current fleet state (shared slice; do not
+// modify). Step moves each vehicle along the heading its road segment
+// began with, so editing HeadingDeg from outside does not turn it.
 func (s *Simulation) Vehicles() []Vehicle { return s.vs }
 
 // Now returns the current simulation time.
@@ -142,29 +157,34 @@ func (s *Simulation) Now() time.Duration { return time.Duration(s.tick) * s.cfg.
 // onto a new road when the segment ends, wrapping toroidally.
 func (s *Simulation) Step() {
 	dt := s.cfg.Step.Seconds()
+	w, h := s.cfg.Area.Width, s.cfg.Area.Height
 	for i := range s.vs {
-		v := &s.vs[i]
+		v, seg := &s.vs[i], &s.segs[i]
 		dist := v.SpeedMps * dt
 		for dist > 0 {
 			move := dist
-			if move > s.togo[i] {
-				move = s.togo[i]
+			if move > seg.togo {
+				move = seg.togo
 			}
-			rad := v.HeadingDeg * math.Pi / 180
-			v.X = wrap(v.X+move*math.Sin(rad), s.cfg.Area.Width)
-			v.Y = wrap(v.Y+move*math.Cos(rad), s.cfg.Area.Height)
-			s.togo[i] -= move
+			v.X = wrap(v.X+move*seg.sin, w)
+			v.Y = wrap(v.Y+move*seg.cos, h)
+			seg.togo -= move
 			dist -= move
-			if s.togo[i] <= 0 {
+			if seg.togo <= 0 {
 				v.HeadingDeg = s.newHeading()
-				s.togo[i] = s.segmentLen()
+				*seg = s.newSegment(v.HeadingDeg)
 			}
 		}
 	}
 	s.tick++
 }
 
+// wrap maps x onto the torus side [0, max). A coordinate already inside
+// is returned as it is, which is what math.Mod returns for it.
 func wrap(x, max float64) float64 {
+	if 0 <= x && x < max {
+		return x
+	}
 	x = math.Mod(x, max)
 	if x < 0 {
 		x += max
@@ -172,16 +192,31 @@ func wrap(x, max float64) float64 {
 	return x
 }
 
+// fold returns the toroidal distance, along an axis of the given side,
+// between coordinates d apart: |d|, or side−|d| once |d| passes half the
+// side. min gives, bit for bit, what that comparison would on a finite
+// normal side, without a branch: up to side/2, side−|d| rounds to at
+// least side/2 ≥ |d|; past it, side−|d| is smaller than |d| and is the
+// value the comparison returns.
+func fold(d, side float64) float64 {
+	d = math.Abs(d)
+	return min(d, side-d)
+}
+
+// offset returns the toroidal distances between two vehicles along the
+// x and y axes.
+func (ar Area) offset(a, b *Vehicle) (dx, dy float64) {
+	return fold(a.X-b.X, ar.Width), fold(a.Y-b.Y, ar.Height)
+}
+
 // Distance returns the toroidal distance between two vehicles.
-func (s *Simulation) Distance(a, b Vehicle) float64 {
-	w, h := s.cfg.Area.Width, s.cfg.Area.Height
-	dx := math.Abs(a.X - b.X)
-	if dx > w/2 {
-		dx = w - dx
-	}
-	dy := math.Abs(a.Y - b.Y)
-	if dy > h/2 {
-		dy = h - dy
-	}
-	return math.Hypot(dx, dy)
+func (s *Simulation) Distance(a, b Vehicle) float64 { return math.Hypot(s.cfg.Area.offset(&a, &b)) }
+
+// linked reports whether two vehicles dx and dy apart along the axes
+// (offset) are within LinkRange, that is whether Distance ≤ LinkRange:
+// the one in-range rule of link collection and routing. Go's hypot
+// returns max·√(1+(min/max)²) ≥ max(dx, dy), so a pair already out of
+// range on one axis skips the call with the same answer.
+func linked(dx, dy float64) bool {
+	return dx <= LinkRange && dy <= LinkRange && math.Hypot(dx, dy) <= LinkRange
 }

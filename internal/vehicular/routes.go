@@ -142,7 +142,7 @@ func buildRoute(sim *Simulation, sel RouteSelector, hops int, rng *rand.Rand) ([
 			if used[i] {
 				continue
 			}
-			if sim.Distance(vs[cur], vs[i]) <= LinkRange {
+			if linked(sim.cfg.Area.offset(&vs[cur], &vs[i])) {
 				cands = append(cands, vs[i])
 				ids = append(ids, i)
 			}
@@ -165,7 +165,7 @@ func measureRoute(sim *Simulation, route []int, horizon time.Duration) time.Dura
 	for sim.Now()-start < horizon {
 		vs := sim.Vehicles()
 		for i := 0; i+1 < len(route); i++ {
-			if sim.Distance(vs[route[i]], vs[route[i+1]]) > LinkRange {
+			if !linked(sim.cfg.Area.offset(&vs[route[i]], &vs[route[i+1]])) {
 				return sim.Now() - start
 			}
 		}

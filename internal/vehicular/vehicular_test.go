@@ -210,3 +210,24 @@ func TestSelectorNames(t *testing.T) {
 		t.Error("selector names wrong")
 	}
 }
+
+// TestCollectLinksAllocs bounds one Table 5.1 network, fleet and links
+// together: the simulation's setup, the open-link table and the links
+// slice's growth. Nothing may allocate per pair or per link.
+func TestCollectLinksAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		CollectLinks(NewSimulation(DefaultMobilityConfig(9)), 300*time.Second)
+	})
+	if allocs > 64 {
+		t.Errorf("a 300 s network allocates %.0f times, want ≤ 64", allocs)
+	}
+}
+
+// TestStepAllocs pins Step, turns onto new roads included, at 0
+// allocations.
+func TestStepAllocs(t *testing.T) {
+	sim := NewSimulation(DefaultMobilityConfig(1))
+	if allocs := testing.AllocsPerRun(200, sim.Step); allocs != 0 {
+		t.Errorf("Step allocates %v times, want 0", allocs)
+	}
+}
