@@ -21,7 +21,10 @@ var update = flag.Bool("update", false, "rewrite testdata/results.golden from th
 var resultsGolden = filepath.Join("testdata", "results.golden")
 
 // goldenAdapters builds a fresh adapter per Chapter 3 protocol, each at
-// its default configuration.
+// its default configuration, then SampleRate at two of the windows the
+// Chapter 3 sweep runs (the default 10 s window outlasts both traces, so
+// only these expire events) and the hint-aware shape hintserve gives
+// each client: a 50 ms, 1500 B SampleRate beside RapidSample.
 var goldenAdapters = []struct {
 	name string
 	mk   func(seed int64) rate.Adapter
@@ -32,6 +35,20 @@ var goldenAdapters = []struct {
 	{"RRAA", func(int64) rate.Adapter { return rate.NewRRAA() }},
 	{"RBAR", func(int64) rate.Adapter { return rate.NewRBAR() }},
 	{"CHARM", func(int64) rate.Adapter { return rate.NewCHARM() }},
+	{"SampleRate(1s)", func(seed int64) rate.Adapter { return sampleRateWith(seed, time.Second, 0) }},
+	{"SampleRate(2s)", func(seed int64) rate.Adapter { return sampleRateWith(seed, 2*time.Second, 0) }},
+	{"HintAware(hintserve)", func(seed int64) rate.Adapter {
+		return rate.NewHintAwareWith(sampleRateWith(seed, 50*time.Millisecond, 1500), rate.NewRapidSample())
+	}},
+}
+
+// sampleRateWith returns a SampleRate with the given window and frame
+// size (0 keeps the default size).
+func sampleRateWith(seed int64, window time.Duration, bytes int) *rate.SampleRate {
+	sr := rate.NewSampleRate(seed)
+	sr.Window = window
+	sr.PacketBytes = bytes
+	return sr
 }
 
 // TestResultsGolden pins the MAC loop below the reports, which print
