@@ -182,10 +182,15 @@ func (c *client) advance(to time.Duration, p *MobilityProfile, area Area) {
 	}
 }
 
+// wrap maps x onto the torus side [0, max). A remainder in
+// (−ulp(max)/2, 0) plus max rounds to max itself, so that seam maps
+// to 0.
 func wrap(x, max float64) float64 {
 	x = math.Mod(x, max)
 	if x < 0 {
-		x += max
+		if x += max; x == max {
+			return 0
+		}
 	}
 	return x
 }

@@ -304,3 +304,16 @@ func TestIdleLinksAreFree(t *testing.T) {
 			small.Events, small.APs, large.Events, large.APs)
 	}
 }
+
+// TestWrapStaysInRange crosses the seam below 0 by less than half an
+// ulp of the side, where math.Mod's remainder plus the side rounds to
+// the side itself, and by a little more, where it does not.
+func TestWrapStaysInRange(t *testing.T) {
+	for _, max := range []float64{1000, 199.99, 50, 3} {
+		for _, x := range []float64{-1e-17, -5e-14, -6e-14, -math.SmallestNonzeroFloat64} {
+			if got := wrap(x, max); !(0 <= got && got < max) {
+				t.Errorf("wrap(%v, %v) = %v, outside [0, %v)", x, max, got, max)
+			}
+		}
+	}
+}

@@ -80,11 +80,16 @@ func pairScanDistance(ar Area, a, b Vehicle) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// modWrap is wrap without its in-range fast path.
+// modWrap is wrap without its in-range fast path: the math.Mod form,
+// with the seam where a tiny negative remainder plus max rounds to max
+// mapped to 0.
 func modWrap(x, max float64) float64 {
 	x = math.Mod(x, max)
 	if x < 0 {
 		x += max
+	}
+	if x == max {
+		return 0
 	}
 	return x
 }
@@ -150,6 +155,19 @@ func TestWrapMatchesMod(t *testing.T) {
 		} {
 			if got, want := wrap(x, max), modWrap(x, max); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("wrap(%v, %v) = %v, math.Mod form %v", x, max, got, want)
+			}
+		}
+	}
+}
+
+// TestWrapStaysInRange crosses the seam below 0 by less than half an
+// ulp of the side, where math.Mod's remainder plus the side rounds to
+// the side itself, and by a little more, where it does not.
+func TestWrapStaysInRange(t *testing.T) {
+	for _, max := range []float64{1000, 199.99, 50, 3} {
+		for _, x := range []float64{-1e-17, -5e-14, -6e-14, -math.SmallestNonzeroFloat64} {
+			if got := wrap(x, max); !(0 <= got && got < max) {
+				t.Errorf("wrap(%v, %v) = %v, outside [0, %v)", x, max, got, max)
 			}
 		}
 	}

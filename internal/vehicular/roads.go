@@ -180,14 +180,18 @@ func (s *Simulation) Step() {
 }
 
 // wrap maps x onto the torus side [0, max). A coordinate already inside
-// is returned as it is, which is what math.Mod returns for it.
+// is returned as it is, which is what math.Mod returns for it. A
+// remainder in (−ulp(max)/2, 0) plus max rounds to max itself, so that
+// seam maps to 0.
 func wrap(x, max float64) float64 {
 	if 0 <= x && x < max {
 		return x
 	}
 	x = math.Mod(x, max)
 	if x < 0 {
-		x += max
+		if x += max; x == max {
+			return 0
+		}
 	}
 	return x
 }
