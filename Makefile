@@ -344,13 +344,14 @@ cover:
 	done; \
 	exit $$status
 
-# Short fuzz pass over the thirteen fuzz targets: the stats codecs, the
+# Short fuzz pass over the fifteen fuzz targets: the stats codecs, the
 # cluster wire layer (framing, message decoding, the session
 # handshake), the coordinator's admission of job specs, the scheduler
 # simulation's seeds, the hint protocol parsers, the scenario engine's
-# AP lattice lookup against its linear scan, and the vehicular link
-# collector against its pair-keyed map scan (each target runs
-# alone, as `go test -fuzz` requires). `-run '^$'` skips the package's
+# AP lattice lookup against its linear scan, the vehicular link
+# collector against its pair-keyed map scan, the RNG's skipped normals
+# against drawn ones, and SampleRate against its full per-pick rescan
+# (each target runs alone, as `go test -fuzz` requires). `-run '^$'` skips the package's
 # unit tests, which `ci` and `cover` already run; without it each line
 # first reran its whole package suite coverage-instrumented. CI runs the
 # same targets at a reduced FUZZTIME.
@@ -369,6 +370,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseHintFrame -fuzztime $(FUZZTIME) ./internal/hintproto/
 	$(GO) test -run '^$$' -fuzz FuzzGridMatchesLinear -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzCollectLinksMatchesPairScan -fuzztime $(FUZZTIME) ./internal/vehicular/
+	$(GO) test -run '^$$' -fuzz FuzzSkipNormMatchesNorm -fuzztime $(FUZZTIME) ./internal/parallel/
+	$(GO) test -run '^$$' -fuzz FuzzSampleRateMatchesRescan -fuzztime $(FUZZTIME) ./internal/rate/
 
 # Hint-serving-plane smoke over real UDP: boot a hintnode AP, throw a
 # hintload herd at it, kill the herd mid-run (its ACKs now hit dead

@@ -501,6 +501,41 @@ func BenchmarkRatesimRun(b *testing.B) {
 	}
 }
 
+// BenchmarkRatesimProtocols replays a 20 s mixed static/walking office
+// trace under TCP once per Chapter 3 protocol, SampleRate at the
+// shortest and the default window of the figures' sweep, each with a
+// fresh adapter as the experiments build one.
+func BenchmarkRatesimProtocols(b *testing.B) {
+	sched := sensors.AlternatingSchedule(20*time.Second, 5*time.Second, sensors.Walk, false)
+	tr := channel.Generate(channel.Config{Env: channel.Office, Sched: sched, Total: 20 * time.Second, Seed: 3})
+	sampleRate := func(w time.Duration) func() rate.Adapter {
+		return func() rate.Adapter {
+			sr := rate.NewSampleRate(7)
+			sr.Window = w
+			return sr
+		}
+	}
+	for _, p := range []struct {
+		name string
+		mk   func() rate.Adapter
+	}{
+		{"HintAware", func() rate.Adapter { return rate.NewHintAware(7) }},
+		{"RapidSample", func() rate.Adapter { return rate.NewRapidSample() }},
+		{"SampleRate1s", sampleRate(time.Second)},
+		{"SampleRate10s", sampleRate(10 * time.Second)},
+		{"RRAA", func() rate.Adapter { return rate.NewRRAA() }},
+		{"RBAR", func() rate.Adapter { return rate.NewRBAR() }},
+		{"CHARM", func() rate.Adapter { return rate.NewCHARM() }},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ratesim.Run(ratesim.Config{Trace: tr, Adapter: p.mk(), Workload: ratesim.TCP, Seed: int64(i)})
+			}
+		})
+	}
+}
+
 // --- micro-benchmarks for the hot paths ---
 
 func BenchmarkMovementDetectorUpdate(b *testing.B) {

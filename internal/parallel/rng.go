@@ -15,10 +15,20 @@ import "math"
 // seeded from a SeedStream.
 type RNG struct {
 	state uint64
-	// spare holds the second output of the last Marsaglia polar pair.
-	spare    float64
-	hasSpare bool
+	// spare holds the second output of the last Marsaglia polar pair
+	// while pending is spareReady. While it is spareLazy, the pair was
+	// drawn by SkipNormFloat64: spare holds its v and spareS its s, and
+	// NormFloat64 finishes the output from them.
+	spare, spareS float64
+	pending       uint8
 }
+
+// The states of RNG.pending.
+const (
+	spareNone = iota
+	spareReady
+	spareLazy
+)
 
 // NewRNG returns a generator seeded with seed. As with SeedStream, roots
 // differing in any bit yield unrelated sequences (the first output is
@@ -43,8 +53,12 @@ func (r *RNG) Float64() float64 {
 // nanoseconds versus math/rand's ziggurat for zero tables and full
 // inlining of the uniform draws.
 func (r *RNG) NormFloat64() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
+	if p := r.pending; p != spareNone {
+		r.pending = spareNone
+		if p == spareLazy {
+			s := r.spareS
+			return r.spare * math.Sqrt(-2*math.Log(s)/s)
+		}
 		return r.spare
 	}
 	for {
@@ -56,7 +70,31 @@ func (r *RNG) NormFloat64() float64 {
 		}
 		f := math.Sqrt(-2 * math.Log(s) / s)
 		r.spare = v * f
-		r.hasSpare = true
+		r.pending = spareReady
 		return u * f
+	}
+}
+
+// SkipNormFloat64 advances the generator exactly as one NormFloat64
+// call would, for a caller that does not read the variate. It draws the
+// same uniforms through the same rejection loop but computes no
+// logarithm or square root: a fresh pair keeps its v and s, and a later
+// NormFloat64 finishes that spare with the same expression, so skips and
+// draws mix without changing a bit of either stream.
+func (r *RNG) SkipNormFloat64() {
+	if r.pending != spareNone {
+		r.pending = spareNone
+		return
+	}
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s >= 1 || s == 0 {
+			continue
+		}
+		r.spare, r.spareS = v, s
+		r.pending = spareLazy
+		return
 	}
 }

@@ -81,3 +81,94 @@ func TestRNGZeroAllocs(t *testing.T) {
 	}
 	_ = sink
 }
+
+// polarRNG is the polar generator as it was before SkipNormFloat64: the
+// same splitmix64 core, with NormFloat64 always computing both outputs
+// of a pair. It is the oracle for FuzzSkipNormMatchesNorm.
+type polarRNG struct {
+	state    uint64
+	spare    float64
+	hasSpare bool
+}
+
+func (r *polarRNG) Float64() float64 {
+	r.state += goldenGamma
+	return float64(mix64(r.state)>>11) * (1.0 / (1 << 53))
+}
+
+func (r *polarRNG) NormFloat64() float64 {
+	if r.hasSpare {
+		r.hasSpare = false
+		return r.spare
+	}
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s >= 1 || s == 0 {
+			continue
+		}
+		f := math.Sqrt(-2 * math.Log(s) / s)
+		r.spare = v * f
+		r.hasSpare = true
+		return u * f
+	}
+}
+
+// FuzzSkipNormMatchesNorm decodes ops into NormFloat64 (0), Float64 (1)
+// and SkipNormFloat64 (2) calls on one RNG, and makes the same calls on
+// a polarRNG from the same seed, except that it draws a normal wherever
+// the RNG skips one. Every value the RNG returns must equal the
+// oracle's bit for bit, and so must the next 8 normals of both, which
+// read any spare left pending.
+func FuzzSkipNormMatchesNorm(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{2, 0})
+	f.Add(int64(3), []byte{0, 2, 2, 0, 1, 2})
+	f.Add(int64(4), []byte{2, 1, 0, 0, 2, 2, 2, 1, 1, 0})
+	f.Add(int64(-7), []byte{2, 2, 2, 2, 2, 2, 2, 2, 2})
+	f.Add(int64(42), []byte{1, 2, 1, 0, 1, 2, 1, 1, 0, 2, 0, 2})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		r := NewRNG(seed)
+		o := polarRNG{state: uint64(seed)}
+		for i, op := range ops {
+			switch op % 3 {
+			case 0:
+				if got, want := r.NormFloat64(), o.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("op %d: NormFloat64 = %v, oracle %v", i, got, want)
+				}
+			case 1:
+				if got, want := r.Float64(), o.Float64(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("op %d: Float64 = %v, oracle %v", i, got, want)
+				}
+			case 2:
+				r.SkipNormFloat64()
+				o.NormFloat64()
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if got, want := r.NormFloat64(), o.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("normal %d after the ops: %v, oracle %v", i, got, want)
+			}
+		}
+	})
+}
+
+var benchSink float64
+
+func BenchmarkNormFloat64(b *testing.B) {
+	r := NewRNG(1)
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += r.NormFloat64()
+	}
+	benchSink = sum
+}
+
+func BenchmarkSkipNormFloat64(b *testing.B) {
+	r := NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		r.SkipNormFloat64()
+	}
+	benchSink = r.Float64()
+}

@@ -27,7 +27,10 @@ type Feedback struct {
 	Acked bool
 	// SNR is the receiver-side SNR learned from this exchange when
 	// Acked (e.g. via the RTS/CTS or reciprocity mechanisms RBAR and
-	// CHARM rely on); NaN when no fresh SNR was learned.
+	// CHARM rely on); NaN when no fresh SNR was learned. The MAC replay
+	// (internal/ratesim) learns one on every ACK only for adapters that
+	// implement SNRUpdater, the ones that read it, and gives every other
+	// adapter NoSNR().
 	SNR float64
 }
 

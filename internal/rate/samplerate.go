@@ -2,6 +2,7 @@ package rate
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -34,6 +35,9 @@ type SampleRate struct {
 
 	started bool
 	count   int
+	// phase is count % every, stepped without a division while
+	// sampleEvery() stays at every.
+	phase, every int
 	// events is a ring buffer of the attempts inside the window; agg
 	// holds the matching per-rate running totals so rate selection is
 	// O(1). The ring is sized once per (window, frame length) — the
@@ -42,11 +46,22 @@ type SampleRate struct {
 	// TestSampleRateSweepAllocations in internal/ratesim.
 	events []srEvent
 	head   int // index of the oldest live event
+	tail   int // index the next event is written to
 	live   int // number of live events
 	agg    [phy.NumRates]srAgg
+	// succeeded has a rate's bit set exactly while its succ is above 0.
+	// avg caches each rate's totalTx/succ. A rate's bit in stale is set
+	// whenever its totals change (push, expire), and avgTxTime divides
+	// again only then; with the bit clear and succ > 0, avg holds the
+	// quotient of the current totals.
+	succeeded uint8
+	avg       [phy.NumRates]time.Duration
+	stale     uint8
 	// consFail counts consecutive failures per rate (4+ disqualifies the
-	// rate until it succeeds again or the count goes stale).
+	// rate until it succeeds again or the count goes stale); banned has
+	// a rate's bit set exactly while its count is 4 or more.
 	consFail [phy.NumRates]int
+	banned   uint8
 	// lastAttempt tracks when each rate was last tried, so stale failure
 	// counts can be forgiven.
 	lastAttempt [phy.NumRates]time.Duration
@@ -57,10 +72,12 @@ type SampleRate struct {
 	airt *phy.Airtimes
 }
 
+// srEvent is one attempt in the window: 24 bytes, with the rate as a
+// byte beside the success flag.
 type srEvent struct {
 	at      time.Duration
-	rate    phy.Rate
 	txTime  time.Duration
+	rate    uint8
 	success bool
 }
 
@@ -84,14 +101,20 @@ func (sr *SampleRate) Name() string {
 }
 
 // Reset implements Adapter. The ring buffer keeps its capacity: a
-// reset adapter replays with zero event-storage allocations.
+// reset adapter replays with zero event-storage allocations. avg and
+// stale need no reset: every rate's succ is 0 until a push marks the
+// rate stale.
 func (sr *SampleRate) Reset() {
 	sr.started = false
 	sr.count = 0
+	sr.phase = 0
 	sr.head = 0
+	sr.tail = 0
 	sr.live = 0
 	sr.agg = [phy.NumRates]srAgg{}
+	sr.succeeded = 0
 	sr.consFail = [phy.NumRates]int{}
+	sr.banned = 0
 	sr.lastAttempt = [phy.NumRates]time.Duration{}
 	sr.sampling = false
 }
@@ -126,16 +149,23 @@ func (sr *SampleRate) PickRate(now time.Duration) phy.Rate {
 	sr.expire(now)
 	// Forgive consecutive-failure counts that have gone stale: the
 	// channel has likely changed since the rate last failed.
-	for i := range sr.consFail {
-		if sr.consFail[i] >= 4 && now-sr.lastAttempt[i] > time.Second {
+	for m := sr.banned; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		if now-sr.lastAttempt[i] > time.Second {
 			sr.consFail[i] = 0
+			sr.banned &^= 1 << i
 		}
 	}
 	best := sr.bestRate()
 	sr.current = best
 	sr.count++
 	sr.sampling = false
-	if sr.count%sr.sampleEvery() == 0 {
+	if k := sr.sampleEvery(); k != sr.every {
+		sr.every, sr.phase = k, sr.count%k
+	} else if sr.phase++; sr.phase == k {
+		sr.phase = 0
+	}
+	if sr.phase == 0 {
 		if s, ok := sr.pickSample(best); ok {
 			sr.sampling = true
 			return s
@@ -152,21 +182,20 @@ func (sr *SampleRate) Observe(fb Feedback) {
 	}
 	airt := sr.airt
 	var tx time.Duration
+	bit := uint8(1) << fb.Rate
 	if fb.Acked {
 		tx = airt.Frame[fb.Rate]
 		sr.consFail[fb.Rate] = 0
+		sr.banned &^= bit
 	} else {
 		tx = airt.Failed[fb.Rate]
 		sr.consFail[fb.Rate]++
+		if sr.consFail[fb.Rate] >= 4 {
+			sr.banned |= bit
+		}
 	}
 	sr.lastAttempt[fb.Rate] = fb.At
-	sr.push(srEvent{at: fb.At, rate: fb.Rate, txTime: tx, success: fb.Acked})
-	a := &sr.agg[fb.Rate]
-	a.totalTx += tx
-	a.n++
-	if fb.Acked {
-		a.succ++
-	}
+	sr.push(srEvent{at: fb.At, txTime: tx, rate: uint8(fb.Rate), success: fb.Acked})
 	sr.expire(fb.At)
 }
 
@@ -193,8 +222,9 @@ func (sr *SampleRate) ringCapacity() int {
 	return int(sr.window()/min) + 64
 }
 
-// push appends an event to the ring, growing only in the (unreachable
-// by construction) case of overflow.
+// push appends an event to the ring and adds it to its rate's totals,
+// growing the ring only in the (unreachable by construction) case of
+// overflow.
 func (sr *SampleRate) push(e srEvent) {
 	if len(sr.events) == 0 {
 		sr.events = make([]srEvent, sr.ringCapacity())
@@ -209,9 +239,22 @@ func (sr *SampleRate) push(e srEvent) {
 		}
 		sr.events = grown
 		sr.head = 0
+		sr.tail = sr.live
 	}
-	sr.events[(sr.head+sr.live)%len(sr.events)] = e
+	sr.events[sr.tail] = e
+	sr.tail++
+	if sr.tail == len(sr.events) {
+		sr.tail = 0
+	}
 	sr.live++
+	a := &sr.agg[e.rate]
+	a.totalTx += e.txTime
+	a.n++
+	if e.success {
+		a.succ++
+		sr.succeeded |= 1 << e.rate
+	}
+	sr.stale |= 1 << e.rate
 }
 
 // expire drops events older than the window, keeping the aggregates in
@@ -225,8 +268,11 @@ func (sr *SampleRate) expire(now time.Duration) {
 		a.totalTx -= e.txTime
 		a.n--
 		if e.success {
-			a.succ--
+			if a.succ--; a.succ == 0 {
+				sr.succeeded &^= 1 << e.rate
+			}
 		}
+		sr.stale |= 1 << e.rate
 		sr.head++
 		if sr.head == len(sr.events) {
 			sr.head = 0
@@ -236,36 +282,38 @@ func (sr *SampleRate) expire(now time.Duration) {
 }
 
 // avgTxTime returns the average transmission time per *successful*
-// packet at rate r over the window, and whether any success exists.
+// packet at rate r over the window, and whether any success exists. It
+// divides only when r's totals changed since the last division.
 func (sr *SampleRate) avgTxTime(r phy.Rate) (time.Duration, bool) {
-	a := sr.agg[r]
+	a := &sr.agg[r]
 	if a.succ <= 0 {
 		return 0, false
 	}
-	return a.totalTx / time.Duration(a.succ), true
+	if bit := uint8(1) << r; sr.stale&bit != 0 {
+		sr.avg[r] = a.totalTx / time.Duration(a.succ)
+		sr.stale &^= bit
+	}
+	return sr.avg[r], true
 }
 
 // bestRate returns the rate minimising average tx time among rates
 // without four or more consecutive failures (Bicket's switch-away rule:
 // a rate that keeps failing must be abandoned even if its windowed
-// average still looks good).
+// average still looks good). It visits only the rates with a success in
+// the window, lowest first, so a tie goes to the lowest rate.
 func (sr *SampleRate) bestRate() phy.Rate {
 	best := phy.Rate(-1)
 	var bestTx time.Duration
-	for i := 0; i < phy.NumRates; i++ {
-		if sr.consFail[i] >= 4 {
-			continue
-		}
-		if tx, ok := sr.avgTxTime(phy.Rate(i)); ok {
-			if best < 0 || tx < bestTx {
-				best, bestTx = phy.Rate(i), tx
-			}
+	for m := sr.succeeded &^ sr.banned; m != 0; m &= m - 1 {
+		r := phy.Rate(bits.TrailingZeros8(m))
+		if tx, _ := sr.avgTxTime(r); best < 0 || tx < bestTx {
+			best, bestTx = r, tx
 		}
 	}
 	if best >= 0 {
 		return best
 	}
-	if sr.agg[sr.current].n == 0 && sr.consFail[sr.current] < 4 {
+	if sr.agg[sr.current].n == 0 && sr.banned&(1<<sr.current) == 0 {
 		// No history at all yet: stay at the optimistic starting rate.
 		return sr.current
 	}
@@ -287,7 +335,7 @@ func (sr *SampleRate) pickSample(current phy.Rate) (phy.Rate, bool) {
 	var cands [phy.NumRates]phy.Rate
 	n := 0
 	for _, r := range phy.Rates {
-		if r == current || sr.consFail[r] >= 4 {
+		if r == current || sr.banned&(1<<r) != 0 {
 			continue
 		}
 		if okCur && sr.airt.Frame[r] >= curAvg {

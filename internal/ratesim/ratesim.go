@@ -17,7 +17,6 @@
 package ratesim
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/parallel"
@@ -174,12 +173,19 @@ func Run(cfg Config) Result {
 			ok := rng.Float64() < tr.At(now).Prob[r]
 			res.Sent++
 			res.RateHistogram[r]++
-			fb := rate.Feedback{At: now, Rate: r, Acked: ok, SNR: math.NaN()}
+			fb := rate.Feedback{At: now, Rate: r, Acked: ok, SNR: rate.NoSNR()}
 			now += rtsOverhead + phy.RetryBackoff(attempt)
 			if ok {
 				// The sender learns the receiver SNR from the exchange,
-				// slightly stale and noisy.
-				fb.SNR = tr.At(now-snrStale).SNR + rng.NormFloat64()*snrNoise
+				// slightly stale and noisy. Only SNR-based adapters read
+				// it; for the others the generator advances past the
+				// draw without computing it, so the fate draws that
+				// follow are the same either way.
+				if hasSNR {
+					fb.SNR = tr.At(now-snrStale).SNR + rng.NormFloat64()*snrNoise
+				} else {
+					rng.SkipNormFloat64()
+				}
 				now += airt.Frame[r]
 			} else {
 				now += airt.Failed[r]

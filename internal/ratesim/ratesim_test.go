@@ -1,6 +1,7 @@
 package ratesim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -164,6 +165,55 @@ func TestRunAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Run allocates %v times per replay, want 0", allocs)
+	}
+}
+
+// feedbackRecorder sends every attempt at 36 Mbps and sorts the
+// Feedback it observes by fate and by whether it carries an SNR.
+type feedbackRecorder struct {
+	acksWithSNR, acksWithout, failsWithSNR, failsWithout int
+}
+
+func (*feedbackRecorder) Name() string                    { return "recorder" }
+func (*feedbackRecorder) PickRate(time.Duration) phy.Rate { return phy.Rate36 }
+func (*feedbackRecorder) Reset()                          {}
+func (r *feedbackRecorder) Observe(fb rate.Feedback) {
+	hasSNR := !math.IsNaN(fb.SNR) && !math.IsInf(fb.SNR, 0)
+	switch {
+	case fb.Acked && hasSNR:
+		r.acksWithSNR++
+	case fb.Acked:
+		r.acksWithout++
+	case hasSNR:
+		r.failsWithSNR++
+	default:
+		r.failsWithout++
+	}
+}
+
+// snrFeedbackRecorder is a feedbackRecorder that takes SNR reports.
+type snrFeedbackRecorder struct{ feedbackRecorder }
+
+func (*snrFeedbackRecorder) UpdateSNR(time.Duration, float64) {}
+
+// TestFeedbackSNROnlyForSNRUpdaters: Run learns an SNR from every ACK
+// for an adapter that implements rate.SNRUpdater, and hands every other
+// adapter rate.NoSNR(); a failed attempt never carries an SNR.
+func TestFeedbackSNROnlyForSNRUpdaters(t *testing.T) {
+	sched := sensors.AlternatingSchedule(2*time.Second, time.Second, sensors.Walk, false)
+	tr := channel.Generate(channel.Config{Env: channel.Office, Sched: sched, Total: 2 * time.Second, Seed: 14})
+
+	plain := &feedbackRecorder{}
+	Run(Config{Trace: tr, Adapter: plain, Seed: 15})
+	if plain.acksWithout == 0 || plain.failsWithout == 0 || plain.acksWithSNR+plain.failsWithSNR != 0 {
+		t.Errorf("plain adapter: %d acks and %d failures without an SNR, %d acks and %d failures with one; want both fates, none with an SNR",
+			plain.acksWithout, plain.failsWithout, plain.acksWithSNR, plain.failsWithSNR)
+	}
+	snr := &snrFeedbackRecorder{}
+	Run(Config{Trace: tr, Adapter: snr, Seed: 15})
+	if snr.acksWithSNR == 0 || snr.failsWithout == 0 || snr.acksWithout+snr.failsWithSNR != 0 {
+		t.Errorf("SNRUpdater: %d acks with a finite SNR, %d without; %d failures without an SNR, %d with one; want every ack and no failure to carry one",
+			snr.acksWithSNR, snr.acksWithout, snr.failsWithout, snr.failsWithSNR)
 	}
 }
 
